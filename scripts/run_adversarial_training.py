@@ -27,7 +27,7 @@ def main() -> int:
     test_ds = data.synth_shapes(50, size=16, seed=202)
     tcfg = nn.TrainConfig(learning_rates=(0.1, 0.01, 0.001), epochs_per_rate=3,
                           batch_size=32, rng_seed=7)
-    plain = nn.train(
+    plain, _ = nn.train(
         nn.build_network(DESK_ARCH, train_ds.image_shape, train_ds.num_classes, seed=tcfg.rng_seed),
         train_ds, tcfg,
     )

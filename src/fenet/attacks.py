@@ -1,17 +1,19 @@
-"""Gradient attacks: FGSM, BIM, PGD, through-filter (BPDA) and ensemble-sum.
+"""Gradient attacks: FGSM, BIM and PGD on batches, plus transfer evaluation.
 
-All attacks work on batches internally and accept three kinds of target:
-a bare Network, a (FilterSpec, Network) sub-model (also any object with
-.filter/.net), or an ensemble object exposing .submodels and
-classify_batch. Through-filter gradients substitute the filter's backward
-rule; success is always judged by the attacked model's own prediction.
+A model is anything with the batched contract that nn.Network,
+ensemble.SubModel and ensemble.Ensemble share:
+`grad_input_batch(xb, labels)` returns the loss gradient per input and
+`classify_batch(xb)` the predicted labels. A filtered sub-model supplies
+its filter's backward rule (BPDA) inside its gradient, and an ensemble
+supplies the sum of its members' gradients, so the attack step is the
+same for all three. Success is judged by the attacked model's own
+prediction.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import filters as flt
 from .util import clamp01, rng_from
 
 METHODS = ("fgsm", "bim", "pgd")
@@ -25,7 +27,6 @@ class AttackConfig:
     steps: int = 20
     step_size: float = None
     random_init: bool = True
-    bpda: str = "identity"
     loss_sign: str = "ascend"
     rng_seed: int = 0
 
@@ -49,8 +50,6 @@ class AttackConfig:
                 raise ValueError(
                     f"step_size {self.step_size} exceeds radius {self.radius}"
                 )
-        if self.bpda not in ("off", "identity", "adjoint"):
-            raise ValueError(f"bpda must be off, identity or adjoint, got {self.bpda!r}")
         if self.loss_sign not in ("ascend", "paper_literal"):
             raise ValueError(f"loss_sign must be ascend or paper_literal, got {self.loss_sign!r}")
         if self.method in ("fgsm", "bim") and self.norm != np.inf:
@@ -66,71 +65,6 @@ class AttackResult:
     success: bool
     queries: int
     final_label: int
-
-
-# ------------------------------------------------------------- model adapters
-
-class _PlainTarget:
-    def __init__(self, net):
-        self.net = net
-
-    def grad_batch(self, xb, labels):
-        return self.net.grad_input_batch(xb, labels)
-
-    def classify_batch(self, xb):
-        return self.net.classify_batch(xb)
-
-
-class _FilteredTarget:
-    def __init__(self, spec, net, bpda_mode):
-        if bpda_mode == "off":
-            raise ValueError(
-                "attacking through a filter needs a backward substitution; "
-                "set bpda to 'identity' or 'adjoint'"
-            )
-        self.spec = spec
-        self.net = net
-        self.bpda_mode = bpda_mode
-
-    def grad_batch(self, xb, labels):
-        zb = flt.apply_batch(self.spec, xb)
-        gz = self.net.grad_input_batch(zb, labels)
-        in_shape = xb.shape[1:]
-        return np.stack(
-            [flt.bpda_backward(self.spec, g, in_shape, mode=self.bpda_mode) for g in gz]
-        )
-
-    def classify_batch(self, xb):
-        return self.net.classify_batch(flt.apply_batch(self.spec, xb))
-
-
-class _SummedTarget:
-    def __init__(self, ensemble, bpda_mode):
-        self.parts = [
-            _FilteredTarget(sm.filter, sm.net, bpda_mode) for sm in ensemble.submodels
-        ]
-        self.ensemble = ensemble
-
-    def grad_batch(self, xb, labels):
-        total = self.parts[0].grad_batch(xb, labels)
-        for part in self.parts[1:]:
-            total = total + part.grad_batch(xb, labels)
-        return total
-
-    def classify_batch(self, xb):
-        return self.ensemble.classify_batch(xb)
-
-
-def _adapt(model, cfg):
-    if hasattr(model, "submodels") and hasattr(model, "classify_batch"):
-        return _SummedTarget(model, cfg.bpda)
-    if hasattr(model, "grad_input_batch"):
-        return _PlainTarget(model)
-    if hasattr(model, "filter") and hasattr(model, "net"):
-        return _FilteredTarget(model.filter, model.net, cfg.bpda)
-    if isinstance(model, (tuple, list)) and len(model) == 2:
-        return _FilteredTarget(model[0], model[1], cfg.bpda)
-    raise TypeError(f"cannot attack object of type {type(model).__name__}")
 
 
 # ------------------------------------------------------------- attack engine
@@ -184,7 +118,6 @@ def run_attack_batch(model, xb, labels, cfg: AttackConfig, image_ids=None, trace
     image_ids key the per-image RNG streams for random initialization, so a
     batch and a rerun of any single image produce the same adversarial.
     """
-    target = _adapt(model, cfg)
     xb = np.asarray(xb, dtype=np.float64)
     labels = np.asarray(labels)
     if image_ids is None:
@@ -212,7 +145,7 @@ def run_attack_batch(model, xb, labels, cfg: AttackConfig, image_ids=None, trace
             )
             adv = clamp01(xb + deltas)
         for step in range(steps):
-            g = sgn * target.grad_batch(adv, labels)
+            g = sgn * model.grad_input_batch(adv, labels)
             grad_calls += 1
             moved = adv + alpha * _direction(g, p)
             d = moved - xb
@@ -224,7 +157,7 @@ def run_attack_batch(model, xb, labels, cfg: AttackConfig, image_ids=None, trace
             if trace is not None:
                 trace(step, adv)
 
-    final = target.classify_batch(adv)
+    final = model.classify_batch(adv)
     queries = grad_calls + 1
     return [
         AttackResult(
@@ -235,36 +168,6 @@ def run_attack_batch(model, xb, labels, cfg: AttackConfig, image_ids=None, trace
         )
         for i in range(len(adv))
     ]
-
-
-def _single(model, x, label, cfg, image_id, trace=None):
-    return run_attack_batch(
-        model, np.asarray(x)[None], [label], cfg, image_ids=[image_id], trace=trace
-    )[0]
-
-
-def fgsm(model, x, label, cfg: AttackConfig, image_id=0) -> AttackResult:
-    return _single(model, x, label, replace(cfg, method="fgsm"), image_id)
-
-
-def bim(model, x, label, cfg: AttackConfig, image_id=0) -> AttackResult:
-    return _single(model, x, label, replace(cfg, method="bim"), image_id)
-
-
-def pgd(model, x, label, cfg: AttackConfig, image_id=0, trace=None) -> AttackResult:
-    return _single(model, x, label, replace(cfg, method="pgd"), image_id, trace=trace)
-
-
-def attack_submodel_bpda(submodel, x, label, cfg: AttackConfig, image_id=0) -> AttackResult:
-    """Attack one (filter, network) pair through its BPDA backward rule."""
-    if cfg.bpda == "off":
-        raise ValueError("bpda must be 'identity' or 'adjoint' for a filtered sub-model")
-    return _single(submodel, x, label, cfg, image_id)
-
-
-def attack_ensemble(ensemble, x, label, cfg: AttackConfig, image_id=0) -> AttackResult:
-    """Whole-ensemble attack: step direction sums sub-model gradients."""
-    return _single(ensemble, x, label, cfg, image_id)
 
 
 # ------------------------------------------------------------- transfer study
@@ -290,7 +193,7 @@ def transfer_eval(source_model, targets: dict, dataset, epsilons, cfg: AttackCon
             )
             adv = np.stack([res.adversarial for res in results])
         for name, model in targets.items():
-            pred = _adapt(model, cfg).classify_batch(adv)
+            pred = model.classify_batch(adv)
             rows.append((float(eps), name, float(np.mean(pred == labels))))
     return rows
 

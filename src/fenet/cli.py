@@ -171,6 +171,8 @@ def _validate(cfg: dict) -> None:
         _expect(isinstance(eps, int) and eps >= 0, f"attack.epsilons[{i}]: must be an integer >= 0 (1/255 units)")
     _expect(len(cfg["attack"]["epsilons"]) >= 1, "attack.epsilons: must be non-empty")
     _expect(cfg["attack"]["source"] in cfg["filters"], "attack.source: must be one of the listed filters")
+    _expect(cfg["attack"]["bpda"] in flt.BPDA_MODES,
+            f"attack.bpda: must be identity or adjoint, got {cfg['attack']['bpda']!r}")
     ncfg = cfg["noise"]
     _expect(isinstance(ncfg["epsilon_max"], int) and ncfg["epsilon_max"] >= 1,
             "noise.epsilon_max: must be an integer >= 1 (1/255 units)")
@@ -215,7 +217,6 @@ def _attack_config(cfg, eps_255: int) -> attacks.AttackConfig:
             steps=int(a["steps"]),
             step_size=None if a["step_size"] is None else float(a["step_size"]),
             random_init=bool(a["random_init"]),
-            bpda=a["bpda"],
             loss_sign=a["loss_sign"],
             rng_seed=int(a["rng_seed"]),
         )
@@ -314,7 +315,8 @@ def _load_submodel(cfg, bank, display_name, filter_name) -> ensemble.SubModel:
     path = _model_path(cfg, filter_name)
     if not os.path.isfile(path):
         raise ConfigError(f"models_dir: {path}: missing model file; run the train command first")
-    return ensemble.SubModel(display_name, bank[filter_name], model_io.load_network(path))
+    net = model_io.load_network(path)
+    return ensemble.SubModel(display_name, bank[filter_name], net, bpda=cfg["attack"]["bpda"])
 
 
 def _members(cfg) -> list:
@@ -384,7 +386,7 @@ def cmd_train(cfg) -> list:
     for i, name in enumerate(_unique_filters(cfg)):
         fds = _filtered(bank[name], train_ds)
         net = nn.build_network(cfg["arch"], fds.image_shape, fds.num_classes, seed=cfg["seed"] + i)
-        net, log = nn.train_with_log(net, fds, tcfg)
+        net, log = nn.train(net, fds, tcfg)
         model_io.save_network(net, _model_path(cfg, name))
         for ri, rate, epoch, loss in log:
             rows.append(f"{name},{ri},{rate:.6g},{epoch},{loss:.10g}")
@@ -451,10 +453,7 @@ def cmd_ensemble_eval(cfg) -> list:
         adv = np.stack([r.adversarial for r in results])
         vote = float(np.mean(vote_ens.classify_batch(adv) == test_ds.labels))
         score = float(np.mean(score_ens.classify_batch(adv) == test_ds.labels))
-        member = [
-            float(np.mean(sm.net.classify_batch(flt.apply_batch(sm.filter, adv)) == test_ds.labels))
-            for sm in subs
-        ]
+        member = [float(np.mean(sm.classify_batch(adv) == test_ds.labels)) for sm in subs]
         rows.append(f"{eps},{vote:.6f},{score:.6f}," + ",".join(f"{m:.6f}" for m in member))
     return _write_outputs(cfg, "ensemble-eval", {"": "\n".join(rows) + "\n"})
 

@@ -1,29 +1,58 @@
 """Filtered sub-model ensembles: voting, score averaging, certification.
 
-An ensemble holds (filter, network) pairs that each see their own view of
-the image. Vote mode takes the most common label; score mode averages
-softmax probabilities. Certification bounds label stability of a single
-network around a filtered input via its Lipschitz product bound.
+An ensemble holds (filter, network) sub-models that each see their own
+view of the image. Vote mode takes the most common label; score mode
+averages softmax probabilities. Sub-models and ensembles offer the same
+batched methods as nn.Network (forward_batch/classify_batch,
+grad_input_batch), so attacks treat all three alike. Certification
+bounds label stability of a single network around a filtered input via
+its Lipschitz product bound.
 """
 
-import json
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import filters as flt
-from . import model_io, nn
+from . import nn
 from .attacks import AttackConfig, run_attack_batch
 from .util import clamp01, rng_from
 
 
 @dataclass
 class SubModel:
+    """A filter followed by the network trained on its outputs.
+
+    `bpda` names the backward rule that stands in for the filter's
+    gradient (see filters.bpda_backward): "identity" or "adjoint".
+    """
+
     name: str
     filter: flt.FilterSpec
     net: "nn.Network"
+    bpda: str = "identity"
+
+    def __post_init__(self):
+        if self.bpda not in flt.BPDA_MODES:
+            raise ValueError(
+                f"sub-model {self.name!r}: bpda must be 'identity' or 'adjoint', got {self.bpda!r}"
+            )
+
+    def forward_batch(self, xb):
+        return self.net.forward_batch(flt.apply_batch(self.filter, xb))
+
+    def classify_batch(self, xb):
+        return self.net.classify_batch(flt.apply_batch(self.filter, xb))
+
+    def grad_input_batch(self, xb, labels):
+        """The network's input gradient at the filtered batch, sent back through the filter."""
+        xb = np.asarray(xb, dtype=np.float64)
+        gz = self.net.grad_input_batch(flt.apply_batch(self.filter, xb), labels)
+        in_shape = xb.shape[1:]
+        return np.stack(
+            [flt.bpda_backward(self.filter, g, in_shape, mode=self.bpda) for g in gz]
+        )
 
     def check_compatible(self, image_shape):
         out = flt.output_shape(self.filter, image_shape)
@@ -43,8 +72,8 @@ class RobustnessCertificate:
 
 
 def _softmax(z):
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class Ensemble:
@@ -61,19 +90,18 @@ class Ensemble:
         self.mode = mode
         self.num_classes = counts.pop()
 
-    def _member_outputs(self, xb):
-        """Per-sub-model softmax probabilities (m, N, n) and labels (m, N)."""
-        probs, labels = [], []
-        for sm in self.submodels:
-            z = sm.net.forward_batch(flt.apply_batch(sm.filter, xb))
-            probs.append(_softmax(z))
-            labels.append(np.argmax(z, axis=1))
-        return np.stack(probs), np.stack(labels)
+    def grad_input_batch(self, xb, labels):
+        """Sum of the members' input gradients, added in member order."""
+        total = self.submodels[0].grad_input_batch(xb, labels)
+        for sm in self.submodels[1:]:
+            total = total + sm.grad_input_batch(xb, labels)
+        return total
 
     def classify_batch(self, xb):
         xb = np.asarray(xb, dtype=np.float64)
-        probs, labels = self._member_outputs(xb)
-        mean_p = probs.mean(axis=0)
+        z = np.stack([sm.forward_batch(xb) for sm in self.submodels])
+        labels = np.argmax(z, axis=2)
+        mean_p = _softmax(z).mean(axis=0)
         if self.mode == "score":
             return np.argmax(mean_p, axis=1)
         out = np.empty(xb.shape[0], dtype=np.int64)
@@ -85,17 +113,6 @@ class Ensemble:
             else:
                 out[i] = tied[np.argmax(mean_p[i, tied])]
         return out
-
-    def predict(self, x) -> int:
-        return int(self.classify_batch(np.asarray(x)[None])[0])
-
-    def is_stable(self, x) -> bool:
-        _, labels = self._member_outputs(np.asarray(x, dtype=np.float64)[None])
-        return bool(np.all(labels == labels[0]))
-
-    def accuracy(self, dataset) -> float:
-        pred = self.classify_batch(dataset.images)
-        return float(np.mean(pred == dataset.labels))
 
 
 def margin(net, z) -> float:
@@ -164,7 +181,7 @@ def gaussian_noise_submodels(
             seed=_derived_seed(seed, 0x474E, i),
         )
         cfg = replace(train_cfg, rng_seed=_derived_seed(seed, 0x4754, i))
-        trained = nn.train(net, dataset, cfg, augment=noised)
+        trained, _ = nn.train(net, dataset, cfg, augment=noised)
         subs.append(SubModel(f"gauss{i}", flt.filter_spec("identity"), trained))
     return subs
 
@@ -190,56 +207,13 @@ def adversarial_train(net_spec, dataset, attack_cfg: AttackConfig = None,
     net = nn.build_network(
         net_spec, dataset.image_shape, dataset.num_classes, seed=train_cfg.rng_seed
     )
-    return nn.train(net, dataset, train_cfg, augment=adversarial)
+    trained, _ = nn.train(net, dataset, train_cfg, augment=adversarial)
+    return trained
 
 
-# ------------------------------------------------------------------ manifests
+# -------------------------------------------------------------- stock plans
 
 DEFAULT_ENSEMBLES = {
     "mincorr": (("original", "discretize"), ("lowpass", "lowpass"), ("octree16", "octree16")),
     "maxcorr": (("original", "discretize"), ("highpass", "highpass"), ("grayscale", "grayscale")),
 }
-
-
-def default_ensemble_plan(kind: str):
-    """Named (sub-model name, FilterSpec) pairs for the two stock ensembles."""
-    if kind not in DEFAULT_ENSEMBLES:
-        raise ValueError(f"unknown ensemble plan {kind!r}")
-    bank = flt.default_filters()
-    return [(name, bank[key]) for name, key in DEFAULT_ENSEMBLES[kind]]
-
-
-def save_manifest(path, ensemble: Ensemble, model_paths) -> None:
-    """Write the ensemble layout: mode plus (name, filter, model file) triples.
-
-    model_paths maps sub-model name to the network file; networks are saved
-    separately so a manifest can mix and match trained models.
-    """
-    entries = []
-    for sm in ensemble.submodels:
-        entries.append(
-            {
-                "name": sm.name,
-                "filter": {"kind": sm.filter.kind, "params": dict(sm.filter.params)},
-                "model": str(model_paths[sm.name]),
-            }
-        )
-    doc = {"mode": ensemble.mode, "submodels": entries}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_manifest(path) -> Ensemble:
-    """Rebuild an ensemble from a manifest; model paths resolve relative to it."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    base = os.path.dirname(os.path.abspath(path))
-    subs = []
-    for entry in doc["submodels"]:
-        spec = flt.filter_spec(entry["filter"]["kind"], **entry["filter"]["params"])
-        model_path = entry["model"]
-        if not os.path.isabs(model_path):
-            model_path = os.path.join(base, model_path)
-        subs.append(SubModel(entry["name"], spec, model_io.load_network(model_path)))
-    return Ensemble(subs, mode=doc["mode"])

@@ -15,6 +15,7 @@ from .util import clamp01, round_half_up
 
 KINDS = ("identity", "discretize", "downsize", "grayscale", "octree", "lowpass", "highpass")
 LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114])
+BPDA_MODES = ("identity", "adjoint")
 
 
 @dataclass(frozen=True)
@@ -346,7 +347,7 @@ def bpda_backward(spec: FilterSpec, gy, in_shape, mode: str = "identity") -> np.
     filters with their exact adjoint (the unclamped filter itself; the
     masked-spectrum operator is symmetric).
     """
-    if mode not in ("identity", "adjoint"):
+    if mode not in BPDA_MODES:
         raise ValueError(f"mode must be 'identity' or 'adjoint', got {mode!r}")
     gy = np.asarray(gy, dtype=np.float64)
     expect = output_shape(spec, in_shape)

@@ -56,17 +56,16 @@ def load_network(path) -> Network:
         raise ModelFormatError(f"{path}: unreadable header ({e})") from e
     off += hlen
 
+    # Bind shapes first so parameter sizes are known, then slice the blob.
     try:
         layers = [layer_from_header(h) for h in header["layers"]]
         input_shape = tuple(header["input_shape"])
         num_classes = header["num_classes"]
-    except (KeyError, TypeError) as e:
-        raise ModelFormatError(f"{path}: header missing field ({e})") from e
-
-    # Bind shapes first so parameter sizes are known, then slice the blob.
-    shape = input_shape
-    for layer in layers:
-        shape = layer.bind(shape)
+        shape = input_shape
+        for layer in layers:
+            shape = layer.bind(shape)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ModelFormatError(f"{path}: bad header ({e})") from e
     param_shapes = _param_shapes(layers, input_shape)
     for layer, shapes in zip(layers, param_shapes):
         arrays = []
@@ -86,7 +85,10 @@ def load_network(path) -> Network:
         _install_params(layer, arrays)
     if off != len(blob):
         raise ModelFormatError(f"{path}: {len(blob) - off} trailing bytes after parameters")
-    return Network(layers, input_shape, num_classes)
+    try:
+        return Network(layers, input_shape, num_classes)
+    except ValueError as e:
+        raise ModelFormatError(f"{path}: bad header ({e})") from e
 
 
 def _param_shapes(layers, input_shape):

@@ -404,23 +404,31 @@ LAYER_KINDS = {cls.kind: cls for cls in (Dense, Conv2D, ReLU, AvgPool2D, Flatten
 
 
 def layer_from_header(h):
-    kind = h.get("kind")
-    if kind == "Dense":
-        return Dense(h["out_features"])
-    if kind == "Conv2D":
-        return Conv2D(h["out_channels"], tuple(h["kernel"]), h["stride"], h["padding"])
-    if kind == "ReLU":
-        return ReLU()
-    if kind == "AvgPool2D":
-        return AvgPool2D(h["pool"], h.get("stride"))
-    if kind == "Flatten":
-        return Flatten()
-    raise ValueError(f"unknown layer kind {kind!r}")
+    """A fresh layer from its header: the kind plus the constructor's keyword arguments."""
+    h = dict(h)
+    kind = h.pop("kind", None)
+    if kind not in LAYER_KINDS:
+        raise ValueError(f"unknown layer kind {kind!r}")
+    return LAYER_KINDS[kind](**h)
 
 
 def _log_softmax(z):
     m = z.max(axis=-1, keepdims=True)
     return z - m - np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
+
+
+def _xent(z, labels):
+    """Per-example softmax cross-entropy of logits `z` (N, n) at `labels`.
+
+    log-sum-exp via log1p over the non-max terms: keeps the loss strictly
+    positive even at huge margins, where the plain form rounds 1 + tiny
+    to 1 and returns -0.0.
+    """
+    m = z.max(axis=1)
+    ez = np.exp(z - m[:, None])
+    rows = np.arange(len(labels))
+    ez[rows, np.argmax(z, axis=1)] = 0.0
+    return (m - z[rows, labels]) + np.log1p(ez.sum(axis=1))
 
 
 class Network:
@@ -457,6 +465,8 @@ class Network:
             raise ShapeMismatchError(
                 f"input shape {xb.shape[1:]} != expected {self.input_shape}"
             )
+        if not np.all(np.isfinite(xb)):
+            raise ValueError("input contains non-finite values")
         return xb
 
     def forward_batch(self, xb):
@@ -483,15 +493,7 @@ class Network:
 
     def loss_batch(self, xb, labels):
         labels = self._check_labels(labels)
-        z = self.forward_batch(xb)
-        # log-sum-exp via log1p over the non-max terms: keeps the loss
-        # strictly positive even at huge margins, where the plain form
-        # rounds 1 + tiny to 1 and returns -0.0
-        m = z.max(axis=1)
-        ez = np.exp(z - m[:, None])
-        rows = np.arange(len(labels))
-        ez[rows, np.argmax(z, axis=1)] = 0.0
-        return (m - z[rows, labels]) + np.log1p(ez.sum(axis=1))
+        return _xent(self.forward_batch(xb), labels)
 
     def loss(self, x, label):
         return float(self.loss_batch(np.asarray(x)[None], [label])[0])
@@ -507,6 +509,7 @@ class Network:
         return xb, caches
 
     def _backprop(self, xb, labels, need_input, need_params):
+        """Logits, input gradient and per-layer parameter gradients of the loss."""
         labels = self._check_labels(labels)
         z, caches = self._forward_with_caches(xb)
         p = np.exp(_log_softmax(z))
@@ -520,11 +523,11 @@ class Network:
                 caches[i], g, need_input=want_input, need_params=need_params
             )
             param_grads[i] = pg
-        return g, param_grads
+        return z, g, param_grads
 
     def grad_input_batch(self, xb, labels):
         """Per-example gradient of the loss w.r.t. each input."""
-        g, _ = self._backprop(xb, labels, need_input=True, need_params=False)
+        _, g, _ = self._backprop(xb, labels, need_input=True, need_params=False)
         return g
 
     def grad_input(self, x, label):
@@ -540,7 +543,7 @@ class Network:
             xb, labels = x[None], [label]
         else:
             xb, labels = x, label
-        _, pgs = self._backprop(xb, labels, need_input=False, need_params=True)
+        _, _, pgs = self._backprop(xb, labels, need_input=False, need_params=True)
         flat = []
         for pg in pgs:
             flat.extend(pg)
@@ -590,36 +593,14 @@ def _as_arrays(dataset):
 
 
 def train(net, dataset, cfg, augment=None):
-    """Minibatch SGD over each learning rate in sequence; returns a new Network.
+    """Minibatch SGD over each learning rate in sequence.
 
-    `augment(net, rng, xb, yb) -> xb` may replace batch inputs before the
-    gradient step (noise injection, adversarial examples). Deterministic
-    for a fixed cfg.rng_seed.
+    Returns (trained copy, log): the log holds one (rate_index, rate,
+    epoch, mean_loss) row per epoch, where mean_loss averages each
+    example's loss just before its batch's update. `augment(net, rng, xb, yb)
+    -> xb` may replace batch inputs before the gradient step (noise
+    injection, adversarial examples). Deterministic for a fixed cfg.rng_seed.
     """
-    xs, ys = _as_arrays(dataset)
-    if len(xs) == 0:
-        raise ValueError("empty dataset")
-    net = net.copy()
-    rng = rng_from(cfg.rng_seed)
-    n = len(xs)
-    for rate in cfg.learning_rates:
-        for _ in range(cfg.epochs_per_rate):
-            order = rng.permutation(n)
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                xb, yb = xs[idx], ys[idx]
-                if augment is not None:
-                    xb = augment(net, rng, xb, yb)
-                _, pgs = net._backprop(xb, yb, need_input=False, need_params=True)
-                scale = rate / len(idx)
-                for layer, pg in zip(net.layers, pgs):
-                    for p, g in zip(layer.params, pg):
-                        p -= scale * g
-    return net
-
-
-def train_with_log(net, dataset, cfg, augment=None):
-    """Like train(), but also returns per-epoch (rate_index, rate, epoch, mean_loss)."""
     xs, ys = _as_arrays(dataset)
     if len(xs) == 0:
         raise ValueError("empty dataset")
@@ -636,19 +617,14 @@ def train_with_log(net, dataset, cfg, augment=None):
                 xb, yb = xs[idx], ys[idx]
                 if augment is not None:
                     xb = augment(net, rng, xb, yb)
-                losses += float(net.loss_batch(xb, yb).sum())
-                _, pgs = net._backprop(xb, yb, need_input=False, need_params=True)
+                z, _, pgs = net._backprop(xb, yb, need_input=False, need_params=True)
+                losses += float(_xent(z, yb).sum())
                 scale = rate / len(idx)
                 for layer, pg in zip(net.layers, pgs):
                     for p, g in zip(layer.params, pg):
                         p -= scale * g
             log.append((ri, rate, epoch, losses / n))
     return net, log
-
-
-def accuracy(net, dataset):
-    xs, ys = _as_arrays(dataset)
-    return float(np.mean(net.classify_batch(xs) == ys))
 
 
 def build_network(arch, input_shape, num_classes, seed):

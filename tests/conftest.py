@@ -5,21 +5,10 @@ behavioral tests (attack orderings, certification, ensemble comparisons)
 fast enough to run in the default suite.
 """
 
-import numpy as np
 import pytest
 
 from fenet import data, ensemble, filters as flt, nn
-
-DESK_ARCH = [
-    {"kind": "Conv2D", "out_channels": 8, "kernel": [3, 3], "stride": 1, "padding": "same"},
-    {"kind": "ReLU"},
-    {"kind": "AvgPool2D", "pool": 2, "stride": 2},
-    {"kind": "Conv2D", "out_channels": 16, "kernel": [3, 3], "stride": 1, "padding": "same"},
-    {"kind": "ReLU"},
-    {"kind": "AvgPool2D", "pool": 2, "stride": 2},
-    {"kind": "Flatten"},
-    {"kind": "Dense", "out_features": None},
-]
+from fenet.cli import DESK_ARCH, _filtered
 
 DESK_TRAIN_CFG = nn.TrainConfig(
     learning_rates=(0.1, 0.01, 0.001), epochs_per_rate=3, batch_size=32, rng_seed=7
@@ -33,19 +22,11 @@ def desk_bank():
     return bank
 
 
-def filtered_dataset(spec, ds):
-    return data.Dataset(
-        flt.apply_batch(spec, ds.images),
-        np.array(ds.labels),
-        num_classes=ds.num_classes,
-        class_names=ds.class_names,
-    )
-
-
 def train_submodel(name, spec, train_ds, seed=11):
-    fds = filtered_dataset(spec, train_ds)
+    fds = _filtered(spec, train_ds)
     net = nn.build_network(DESK_ARCH, fds.image_shape, fds.num_classes, seed=seed)
-    return ensemble.SubModel(name, spec, nn.train(net, fds, DESK_TRAIN_CFG))
+    trained, _ = nn.train(net, fds, DESK_TRAIN_CFG)
+    return ensemble.SubModel(name, spec, trained)
 
 
 @pytest.fixture(scope="session")

@@ -1,23 +1,13 @@
 """Attack engine tests against closed-form linear oracles and step-math identities."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fenet import attacks, data, filters as flt, nn
-from fenet.attacks import (
-    AttackConfig,
-    attack_ensemble,
-    attack_submodel_bpda,
-    bim,
-    fgsm,
-    pgd,
-    run_attack_batch,
-    transfer_eval,
-)
+from fenet.attacks import AttackConfig, run_attack_batch, transfer_eval
+from fenet.ensemble import Ensemble, SubModel
 from fenet.util import clamp01
 
 IMG = (3, 3, 1)
@@ -57,15 +47,9 @@ def interior_x(seed=0, shape=IMG, lo=0.35, hi=0.65):
     return rng.uniform(lo, hi, size=shape)
 
 
-class StubEnsemble:
-    """Minimal object satisfying the ensemble attack protocol."""
-
-    def __init__(self, subs):
-        self.submodels = subs
-
-    def classify_batch(self, xb):
-        first = self.submodels[0]
-        return first.net.classify_batch(flt.apply_batch(first.filter, xb))
+def attack_one(model, x, label, cfg, image_id=0):
+    """Attack a single image through the batched engine."""
+    return run_attack_batch(model, x[None], [label], cfg, image_ids=[image_id])[0]
 
 
 # ---------------------------------------------------------- one-step oracles
@@ -76,7 +60,7 @@ def test_fgsm_matches_linear_closed_form():
     x = interior_x(seed=1)
     label = int(net.classify_batch(x[None])[0])
     r = 0.03
-    res = fgsm(net, x, label, AttackConfig(radius=r))
+    res = attack_one(net, x, label, AttackConfig(method="fgsm", radius=r))
     expected = clamp01(x + r * np.sign(ce_input_grad(net, x, label)))
     np.testing.assert_allclose(res.adversarial, expected, rtol=1e-12, atol=1e-15)
     assert res.success == (int(net.classify_batch(res.adversarial[None])[0]) != label)
@@ -95,8 +79,8 @@ def test_fgsm_linear_success_threshold():
     assert net.classify_batch(x[None])[0] == 0
     margin = 0.3 - v @ x.ravel()
     critical = margin / np.abs(v).sum()
-    below = fgsm(net, x, 0, AttackConfig(radius=0.8 * critical))
-    above = fgsm(net, x, 0, AttackConfig(radius=1.25 * critical))
+    below = attack_one(net, x, 0, AttackConfig(method="fgsm", radius=0.8 * critical))
+    above = attack_one(net, x, 0, AttackConfig(method="fgsm", radius=1.25 * critical))
     assert not below.success
     assert above.success
     assert above.final_label == 1
@@ -106,8 +90,8 @@ def test_bim_single_step_equals_fgsm():
     net = linear_net(seed=5)
     x = interior_x(seed=2)
     r = 0.02
-    a = fgsm(net, x, 1, AttackConfig(radius=r))
-    b = bim(net, x, 1, AttackConfig(radius=r, steps=1, step_size=r))
+    a = attack_one(net, x, 1, AttackConfig(method="fgsm", radius=r))
+    b = attack_one(net, x, 1, AttackConfig(method="bim", radius=r, steps=1, step_size=r))
     assert np.array_equal(a.adversarial, b.adversarial)
 
 
@@ -115,8 +99,8 @@ def test_pgd_single_step_no_init_equals_fgsm():
     net = linear_net(seed=5)
     x = interior_x(seed=2)
     r = 0.02
-    a = fgsm(net, x, 0, AttackConfig(radius=r))
-    c = pgd(net, x, 0, AttackConfig(radius=r, steps=1, step_size=r, random_init=False))
+    a = attack_one(net, x, 0, AttackConfig(method="fgsm", radius=r))
+    c = attack_one(net, x, 0, AttackConfig(radius=r, steps=1, step_size=r, random_init=False))
     assert np.array_equal(a.adversarial, c.adversarial)
 
 
@@ -129,7 +113,7 @@ def test_pgd_l2_constant_gradient_sticks_to_sphere():
     r = 0.01
     g = ce_input_grad(net, x, label)
     u = g / np.linalg.norm(g)
-    res = pgd(net, x, label, AttackConfig(radius=r, norm=2, steps=3, step_size=r, random_init=False))
+    res = attack_one(net, x, label, AttackConfig(radius=r, norm=2, steps=3, step_size=r, random_init=False))
     np.testing.assert_allclose(res.adversarial, x + r * u, rtol=1e-12, atol=1e-15)
     assert abs(np.linalg.norm(res.adversarial - x) - r) < 1e-12
 
@@ -168,8 +152,8 @@ def test_pgd_without_init_walks_the_bim_path():
     x = np.random.default_rng(30).uniform(0, 1, size=(6, 6, 1))
     cfg_b = AttackConfig(method="bim", radius=0.05, steps=6, step_size=0.01)
     cfg_p = AttackConfig(radius=0.05, steps=6, step_size=0.01, random_init=False)
-    a = bim(net, x, 0, cfg_b)
-    b = pgd(net, x, 0, cfg_p)
+    a = attack_one(net, x, 0, cfg_b)
+    b = attack_one(net, x, 0, cfg_p)
     assert np.array_equal(a.adversarial, b.adversarial)
 
 
@@ -206,7 +190,7 @@ def test_pgd_deterministic_and_keyed_by_image_id():
         assert np.array_equal(a.adversarial, b.adversarial)
         assert a.success == b.success
 
-    solo = pgd(net, xb[1], labels[1], cfg, image_id=6)
+    solo = attack_one(net, xb[1], labels[1], cfg, image_id=6)
     assert np.array_equal(solo.adversarial, first[1].adversarial)
 
     other = run_attack_batch(net, xb, labels, AttackConfig(radius=0.05, steps=4, rng_seed=1))
@@ -227,9 +211,9 @@ def test_radius_zero_returns_input_unchanged():
 def test_query_accounting():
     net = linear_net(seed=2)
     x = interior_x(seed=6)
-    assert fgsm(net, x, 0, AttackConfig(radius=0.01)).queries == 2
-    assert bim(net, x, 0, AttackConfig(radius=0.01, steps=3)).queries == 4
-    assert pgd(net, x, 0, AttackConfig(radius=0.01, steps=5)).queries == 6
+    assert attack_one(net, x, 0, AttackConfig(method="fgsm", radius=0.01)).queries == 2
+    assert attack_one(net, x, 0, AttackConfig(method="bim", radius=0.01, steps=3)).queries == 4
+    assert attack_one(net, x, 0, AttackConfig(radius=0.01, steps=5)).queries == 6
 
 
 def test_zero_gradient_leaves_input_in_place():
@@ -249,9 +233,8 @@ def test_zero_gradient_leaves_input_in_place():
 def test_paper_sign_convention_mirrors_the_step():
     net = linear_net(seed=8)
     x = interior_x(seed=8)
-    cfg = AttackConfig(radius=0.02)
-    up = fgsm(net, x, 0, cfg)
-    down = fgsm(net, x, 0, AttackConfig(radius=0.02, loss_sign="paper_literal"))
+    up = attack_one(net, x, 0, AttackConfig(method="fgsm", radius=0.02))
+    down = attack_one(net, x, 0, AttackConfig(method="fgsm", radius=0.02, loss_sign="paper_literal"))
     np.testing.assert_allclose(
         down.adversarial - x, -(up.adversarial - x), rtol=1e-12, atol=1e-15
     )
@@ -269,7 +252,7 @@ def test_paper_sign_convention_mirrors_the_step():
         {"steps": 0},
         {"step_size": 0.0},
         {"method": "bim", "radius": 0.01, "step_size": 0.02},
-        {"bpda": "maybe"},
+        {"radius": 0.01, "step_size": 0.02},
         {"loss_sign": "up"},
         {"method": "fgsm", "norm": 2},
         {"method": "bim", "norm": 2},
@@ -299,8 +282,8 @@ def test_identity_submodel_attack_equals_plain_attack():
     net = conv_net(seed=3)
     x = np.random.default_rng(12).uniform(0, 1, size=(6, 6, 1))
     cfg = AttackConfig(radius=0.04, steps=5)
-    plain = pgd(net, x, 0, cfg)
-    sub = attack_submodel_bpda((flt.filter_spec("identity"), net), x, 0, cfg)
+    plain = attack_one(net, x, 0, cfg)
+    sub = attack_one(SubModel("s", flt.filter_spec("identity"), net), x, 0, cfg)
     assert np.array_equal(plain.adversarial, sub.adversarial)
     assert plain.success == sub.success
 
@@ -310,7 +293,7 @@ def test_discretize_bpda_gradient_taken_at_filtered_point():
     x = np.random.default_rng(13).uniform(0, 1, size=(6, 6, 1))
     spec = flt.filter_spec("discretize")
     r = 0.03
-    res = fgsm((spec, net), x, 2, AttackConfig(radius=r))
+    res = attack_one(SubModel("s", spec, net), x, 2, AttackConfig(method="fgsm", radius=r))
     g = net.grad_input_batch(flt.apply_batch(spec, x[None]), [2])[0]
     np.testing.assert_allclose(res.adversarial, clamp01(x + r * np.sign(g)), rtol=1e-12)
 
@@ -320,7 +303,8 @@ def test_adjoint_mode_routes_gradient_through_the_filter():
     x = np.random.default_rng(14).uniform(0, 1, size=(6, 6, 1))
     spec = flt.filter_spec("lowpass", sigma=2.0)
     r = 0.03
-    res = fgsm((spec, net), x, 1, AttackConfig(radius=r, bpda="adjoint"))
+    sub = SubModel("s", spec, net, bpda="adjoint")
+    res = attack_one(sub, x, 1, AttackConfig(method="fgsm", radius=r))
     g = net.grad_input_batch(flt.apply_batch(spec, x[None]), [1])[0]
     back = flt.frequency_filter(g, 2.0, "low", clamp=False)
     np.testing.assert_allclose(res.adversarial, clamp01(x + r * np.sign(back)), rtol=1e-12)
@@ -331,7 +315,7 @@ def test_grayscale_submodel_gradient_spreads_luma_weights():
     x = np.random.default_rng(15).uniform(0, 1, size=(6, 6, 3))
     spec = flt.filter_spec("grayscale")
     r = 0.02
-    res = fgsm((spec, net), x, 0, AttackConfig(radius=r))
+    res = attack_one(SubModel("s", spec, net), x, 0, AttackConfig(method="fgsm", radius=r))
     assert res.adversarial.shape == (6, 6, 3)
     g = net.grad_input_batch(flt.apply_batch(spec, x[None]), [0])[0]
     back = g * flt.LUMA_WEIGHTS
@@ -341,27 +325,10 @@ def test_grayscale_submodel_gradient_spreads_luma_weights():
 def test_bpda_off_only_works_without_a_filter():
     net = linear_net(seed=9)
     x = interior_x(seed=9)
-    cfg = AttackConfig(radius=0.02, bpda="off")
-    fgsm(net, x, 0, cfg)
-    with pytest.raises(ValueError, match="identity' or 'adjoint"):
-        fgsm((flt.filter_spec("discretize"), net), x, 0, cfg)
-    with pytest.raises(ValueError):
-        attack_submodel_bpda((flt.filter_spec("identity"), net), x, 0, cfg)
-
-
-def test_pair_and_attribute_targets_agree():
-    net = conv_net(seed=7)
-    x = np.random.default_rng(16).uniform(0, 1, size=(6, 6, 1))
-    spec = flt.filter_spec("discretize")
-    cfg = AttackConfig(radius=0.03, steps=4)
-    a = pgd((spec, net), x, 1, cfg)
-    b = pgd(SimpleNamespace(filter=spec, net=net), x, 1, cfg)
-    assert np.array_equal(a.adversarial, b.adversarial)
-
-
-def test_unknown_target_type_rejected():
-    with pytest.raises(TypeError):
-        fgsm(object(), interior_x(), 0, AttackConfig(radius=0.01))
+    attack_one(net, x, 0, AttackConfig(method="fgsm", radius=0.02))
+    for spec in (flt.filter_spec("discretize"), flt.filter_spec("identity")):
+        with pytest.raises(ValueError, match="identity' or 'adjoint"):
+            SubModel("s", spec, net, bpda="off")
 
 
 # ----------------------------------------------------------- summed ensemble
@@ -370,22 +337,33 @@ def test_unknown_target_type_rejected():
 def test_duplicated_submodel_does_not_change_the_path():
     net = conv_net(seed=8)
     x = np.random.default_rng(17).uniform(0, 1, size=(6, 6, 1))
-    sub = SimpleNamespace(filter=flt.filter_spec("discretize"), net=net)
+    sub = SubModel("s", flt.filter_spec("discretize"), net)
     cfg = AttackConfig(radius=0.04, steps=5)
-    one = attack_ensemble(StubEnsemble([sub]), x, 0, cfg)
-    two = attack_ensemble(StubEnsemble([sub, sub]), x, 0, cfg)
+    one = attack_one(Ensemble([sub]), x, 0, cfg)
+    two = attack_one(Ensemble([sub, sub]), x, 0, cfg)
     assert np.array_equal(one.adversarial, two.adversarial)
 
 
 def test_single_submodel_ensemble_equals_direct_submodel_attack():
     net = conv_net(seed=9)
     x = np.random.default_rng(18).uniform(0, 1, size=(6, 6, 1))
-    sub = SimpleNamespace(filter=flt.filter_spec("lowpass", sigma=3.0), net=net)
+    sub = SubModel("s", flt.filter_spec("lowpass", sigma=3.0), net)
     cfg = AttackConfig(radius=0.03, steps=4)
-    ens = attack_ensemble(StubEnsemble([sub]), x, 2, cfg)
-    direct = attack_submodel_bpda(sub, x, 2, cfg)
+    ens = attack_one(Ensemble([sub]), x, 2, cfg)
+    direct = attack_one(sub, x, 2, cfg)
     assert np.array_equal(ens.adversarial, direct.adversarial)
     assert ens.success == direct.success
+
+
+def test_ensemble_gradient_is_the_member_sum():
+    subs = [
+        SubModel("a", flt.filter_spec("discretize"), conv_net(seed=20)),
+        SubModel("b", flt.filter_spec("lowpass", sigma=3.0), conv_net(seed=21), bpda="adjoint"),
+    ]
+    xb = np.random.default_rng(19).uniform(0, 1, size=(2, 6, 6, 1))
+    labels = [0, 2]
+    want = subs[0].grad_input_batch(xb, labels) + subs[1].grad_input_batch(xb, labels)
+    assert np.array_equal(Ensemble(subs).grad_input_batch(xb, labels), want)
 
 
 # ----------------------------------------------------------- transfer tables
@@ -394,7 +372,7 @@ def test_single_submodel_ensemble_equals_direct_submodel_attack():
 def test_transfer_eval_zero_epsilon_rows_are_clean_accuracy():
     ds = data.synth_shapes(3, size=8, seed=1)
     net = conv_net(seed=10, shape=(8, 8, 3), classes=4)
-    targets = {"plain": net, "filtered": (flt.filter_spec("identity"), net)}
+    targets = {"plain": net, "filtered": SubModel("filtered", flt.filter_spec("identity"), net)}
     cfg = AttackConfig(method="fgsm", radius=0.01)
     rows = transfer_eval(net, targets, ds, [0.0, 4 / 255], cfg)
     assert [(r[0], r[1]) for r in rows] == [
@@ -403,7 +381,7 @@ def test_transfer_eval_zero_epsilon_rows_are_clean_accuracy():
         (4 / 255, "plain"),
         (4 / 255, "filtered"),
     ]
-    clean = nn.accuracy(net, ds)
+    clean = float(np.mean(net.classify_batch(ds.images) == ds.labels))
     assert rows[0][2] == pytest.approx(clean)
     assert rows[1][2] == pytest.approx(clean)
     assert all(0.0 <= r[2] <= 1.0 for r in rows)

@@ -196,6 +196,12 @@ def test_bad_attack_field_reports_its_path(tmp_path, capsys):
     assert "attack:" in capsys.readouterr().err
 
 
+def test_bpda_off_is_a_config_error(tmp_path, capsys):
+    rc = run_cli("attack", tmp_path, "--set", 'attack.bpda="off"')
+    assert rc == 2
+    assert "config error: attack.bpda: " in capsys.readouterr().err
+
+
 def test_missing_models_exit_nonzero(tmp_path, capsys):
     rc = run_cli("attack", tmp_path)
     assert rc == 2

@@ -7,13 +7,17 @@ degradation, certification falsification, and the correlation structure
 of the filter bank.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fenet import attacks, data, ensemble, filters as flt, nn, sensitivity
 from fenet.attacks import AttackConfig
 
-from conftest import DESK_ARCH, DESK_TRAIN_CFG
+from fenet.cli import DESK_ARCH
+
+from conftest import DESK_TRAIN_CFG
 
 EPS8 = 8 / 255
 EPS10 = 10 / 255
@@ -75,7 +79,7 @@ def test_bpda_beats_blind_noise_through_octree(desk_submodels, desk_test):
     rng = np.random.default_rng(99)
     noisy = np.clip(desk_test.images + rng.uniform(-EPS20, EPS20, size=desk_test.images.shape), 0.0, 1.0)
     noise_flips = float(
-        np.mean(sm.net.classify_batch(flt.apply_batch(sm.filter, noisy)) != desk_test.labels)
+        np.mean(sm.classify_batch(noisy) != desk_test.labels)
     )
     assert attack_flips > noise_flips
 
@@ -84,24 +88,22 @@ def test_bpda_beats_blind_noise_through_octree(desk_submodels, desk_test):
 
 
 def test_sum_attack_degrades_the_ensemble_but_not_below_members(desk_mincorr, desk_test):
-    cfg = AttackConfig(method="pgd", radius=EPS10, steps=20, rng_seed=0, bpda="adjoint")
-    results = _run(desk_mincorr, desk_test, cfg)
+    cfg = AttackConfig(method="pgd", radius=EPS10, steps=20, rng_seed=0)
+    mincorr = ensemble.Ensemble([replace(sm, bpda="adjoint") for sm in desk_mincorr.submodels])
+    results = _run(mincorr, desk_test, cfg)
     adv = np.stack([r.adversarial for r in results])
-    clean_acc = desk_mincorr.accuracy(desk_test)
-    adv_acc = float(np.mean(desk_mincorr.classify_batch(adv) == desk_test.labels))
+    clean_acc = float(np.mean(mincorr.classify_batch(desk_test.images) == desk_test.labels))
+    adv_acc = float(np.mean(mincorr.classify_batch(adv) == desk_test.labels))
     member_clean = [
-        float(np.mean(sm.net.classify_batch(flt.apply_batch(sm.filter, desk_test.images)) == desk_test.labels))
-        for sm in desk_mincorr.submodels
+        float(np.mean(sm.classify_batch(desk_test.images) == desk_test.labels))
+        for sm in mincorr.submodels
     ]
     assert adv_acc < clean_acc
     assert adv_acc <= min(member_clean)
 
 
 def test_majority_correct_members_carry_the_vote(desk_mincorr, desk_test):
-    member_labels = np.stack([
-        sm.net.classify_batch(flt.apply_batch(sm.filter, desk_test.images))
-        for sm in desk_mincorr.submodels
-    ])
+    member_labels = np.stack([sm.classify_batch(desk_test.images) for sm in desk_mincorr.submodels])
     premise = (member_labels == desk_test.labels[None]).sum(axis=0) >= 2
     assert premise.sum() >= 150
     vote = desk_mincorr.classify_batch(desk_test.images)
@@ -119,7 +121,7 @@ def test_gaussian_members_match_their_noiseless_twins(desk_train, desk_test, des
 
 
 def test_adversarial_training_buys_robustness_beyond_its_radius(desk_train, desk_test):
-    plain = nn.train(
+    plain, _ = nn.train(
         nn.build_network(DESK_ARCH, desk_train.image_shape, desk_train.num_classes,
                          seed=DESK_TRAIN_CFG.rng_seed),
         desk_train, DESK_TRAIN_CFG,
@@ -144,9 +146,7 @@ def test_pairwise_bound_never_double_flips(desk_submodels, desk_test):
             x = desk_test.images[i]
             certs = [ensemble.certify_submodel(sm, x, lipschitz=lips[sm.name]) for sm in pair]
             bound = ensemble.pairwise_bound(*certs)
-            base = [
-                int(sm.net.classify_batch(flt.apply_batch(sm.filter, x[None]))[0]) for sm in pair
-            ]
+            base = [int(sm.classify_batch(x[None])[0]) for sm in pair]
             for _ in range(10):
                 xp = np.clip(x + rng.uniform(-eps, eps, size=x.shape), 0.0, 1.0)
                 r = [
@@ -156,10 +156,7 @@ def test_pairwise_bound_never_double_flips(desk_submodels, desk_test):
                 if r[0] * r[1] >= bound:
                     continue
                 premise_hits += 1
-                now = [
-                    int(sm.net.classify_batch(flt.apply_batch(sm.filter, xp[None]))[0])
-                    for sm in pair
-                ]
+                now = [int(sm.classify_batch(xp[None])[0]) for sm in pair]
                 assert now[0] == base[0] or now[1] == base[1]
     assert premise_hits >= 100
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -98,4 +99,32 @@ def test_garbled_header_rejected(tmp_path):
     junk = b"{not json"
     path.write_bytes(MAGIC + len(junk).to_bytes(4, "big") + junk)
     with pytest.raises(ModelFormatError):
+        load_network(path)
+
+
+def _write_model(path, header, params=b""):
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(MAGIC + len(blob).to_bytes(4, "big") + blob + params)
+
+
+@pytest.mark.parametrize(
+    "layers, num_classes",
+    [
+        ([{"kind": "Flatten"}, {"kind": "Dense", "out_features": -2}], 2),
+        ([{"kind": "Conv2D", "out_channels": 1, "kernel": [3, 3], "stride": 1, "padding": "full"},
+          {"kind": "Flatten"}, {"kind": "Dense", "out_features": 2}], 2),
+        ([{"kind": "Pool"}, {"kind": "Flatten"}, {"kind": "Dense", "out_features": 2}], 2),
+        ([{"kind": "Flatten"}, {"kind": "Dense"}], 2),
+        ([{"kind": "Dense", "out_features": 2}], 2),
+        ([{"kind": "Flatten"}, {"kind": "Dense", "out_features": 2}], 3),
+    ],
+    ids=["negative-out-features", "unknown-padding", "unknown-kind", "missing-field",
+         "shape-mismatch", "class-count-mismatch"],
+)
+def test_bad_header_error_names_the_file(tmp_path, layers, num_classes):
+    path = tmp_path / "bad.fenet"
+    # parameters for a Flatten + Dense(2) over (2, 2, 1) inputs, so only the header is wrong
+    _write_model(path, {"input_shape": [2, 2, 1], "num_classes": num_classes, "layers": layers},
+                 np.zeros(2 * 4 + 2).astype("<f8").tobytes())
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: bad header"):
         load_network(path)

@@ -11,7 +11,6 @@ from fenet.nn import (
     ReLU,
     ShapeMismatchError,
     TrainConfig,
-    accuracy,
     build_network,
     power_iteration,
     train,
@@ -147,6 +146,18 @@ def test_forward_rejects_wrong_shape():
     net = small_conv_net(seed=0)
     with pytest.raises(ShapeMismatchError):
         net.forward(np.zeros((5, 6, 1)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_rejected(bad):
+    net = small_conv_net(seed=0)
+    xb = np.full((2, 6, 6, 1), 0.5)
+    xb[1, 3, 2, 0] = bad
+    for call in (net.classify_batch, net.forward_batch, lambda b: net.grad_input_batch(b, [0, 1])):
+        with pytest.raises(ValueError, match="non-finite"):
+            call(xb)
+    with pytest.raises(ValueError, match="non-finite"):
+        net.classify_batch(np.full((1, 6, 6, 1), np.nan))
 
 
 def test_incompatible_layer_chain_rejected():
@@ -329,14 +340,15 @@ def test_train_separable_set_high_accuracy():
     xs, ys = separable_blobs()
     net = Network([Dense(8), ReLU(), Dense(2)], (2,), 2, seed=0)
     cfg = TrainConfig(learning_rates=(0.1, 0.01, 0.001), epochs_per_rate=3, batch_size=16)
-    trained = train(net, (xs, ys), cfg)
-    assert accuracy(trained, (xs, ys)) >= 0.95
+    trained, _ = train(net, (xs, ys), cfg)
+    assert np.mean(trained.classify_batch(xs) == ys) >= 0.95
 
 
 def test_train_zero_epochs_is_identity():
     xs, ys = separable_blobs()
     net = Network([Dense(2)], (2,), 2, seed=1)
-    out = train(net, (xs, ys), TrainConfig(epochs_per_rate=0))
+    out, log = train(net, (xs, ys), TrainConfig(epochs_per_rate=0))
+    assert log == []
     for p, q in zip(out.parameters(), net.parameters()):
         assert np.array_equal(p, q)
 
@@ -345,8 +357,8 @@ def test_train_same_seed_bit_identical():
     xs, ys = separable_blobs()
     cfg = TrainConfig(epochs_per_rate=1, rng_seed=3)
     net = Network([Dense(4), ReLU(), Dense(2)], (2,), 2, seed=2)
-    t1 = train(net, (xs, ys), cfg)
-    t2 = train(net, (xs, ys), cfg)
+    t1, _ = train(net, (xs, ys), cfg)
+    t2, _ = train(net, (xs, ys), cfg)
     for p, q in zip(t1.parameters(), t2.parameters()):
         assert p.tobytes() == q.tobytes()
 
@@ -358,6 +370,48 @@ def test_train_does_not_touch_original():
     train(net, (xs, ys), TrainConfig(epochs_per_rate=1))
     for p, q in zip(net.parameters(), before):
         assert np.array_equal(p, q)
+
+
+def _train_with_separate_loss_pass(net, dataset, cfg, augment=None):
+    """Oracle: the SGD loop that measured each batch's loss with its own forward pass."""
+    xs, ys = dataset
+    net = net.copy()
+    rng = rng_from(cfg.rng_seed)
+    n = len(xs)
+    log = []
+    for ri, rate in enumerate(cfg.learning_rates):
+        for epoch in range(cfg.epochs_per_rate):
+            order = rng.permutation(n)
+            losses = 0.0
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                xb, yb = xs[idx], ys[idx]
+                if augment is not None:
+                    xb = augment(net, rng, xb, yb)
+                losses += float(net.loss_batch(xb, yb).sum())
+                pgs = net.grad_params(xb, yb)
+                scale = rate / len(idx)
+                for p, g in zip(net.parameters(), pgs):
+                    p -= scale * g
+            log.append((ri, rate, epoch, losses / n))
+    return net, log
+
+
+def _jitter(net, rng, xb, yb):
+    return xb + rng.normal(0.0, 0.05, size=xb.shape)
+
+
+@pytest.mark.parametrize("augment", [None, _jitter])
+def test_train_log_and_weights_match_separate_loss_pass(augment):
+    xs, ys = separable_blobs(n_per_class=25, seed=5)
+    net = Network([Dense(6), ReLU(), Dense(2)], (2,), 2, seed=6)
+    cfg = TrainConfig(learning_rates=(0.1, 0.01), epochs_per_rate=2, batch_size=16, rng_seed=8)
+    got, got_log = train(net, (xs, ys), cfg, augment=augment)
+    want, want_log = _train_with_separate_loss_pass(net, (xs, ys), cfg, augment=augment)
+    assert got_log == want_log
+    assert [row[:3] for row in got_log] == [(0, 0.1, 0), (0, 0.1, 1), (1, 0.01, 0), (1, 0.01, 1)]
+    for p, q in zip(got.parameters(), want.parameters()):
+        assert p.tobytes() == q.tobytes()
 
 
 def test_train_empty_dataset_rejected():
