@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""Golden hashes: the sha256 of every CSV and saved model from two pipeline runs.
+
+Runs the CLI commands on two configs in a temporary directory:
+- `test09`: the six commands on the config of
+  tests/test_acceptance.py::test_09 (7 CSVs);
+- `desk`: train, correlate, attack and transfer on scripts/desk_config.json,
+  then ensemble-eval with attack.bpda="adjoint" and certify for the mincorr
+  and maxcorr plans, as scripts/run_ensemble_comparison.py does (10 CSVs).
+
+It prints one `<sha256>  <path>` line per CSV and model file, sorted by
+path. Run it at two commits and diff the outputs: a change that keeps
+every line keeps every result byte for byte. It imports fenet from the
+checkout it lives in, so a copy of the script hashes that copy's code.
+
+    python3 scripts/golden_csvs.py [--only test09|desk] [--keep DIR]
+"""
+
+import argparse
+import contextlib
+import hashlib
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from fenet import cli  # noqa: E402
+
+TEST09 = [
+    "--tag", "t",
+    "--set", "dataset.num_per_class=8",
+    "--set", "dataset.test_per_class=5",
+    "--set", "dataset.size=8",
+    "--set", 'filters=["identity","grayscale","lowpass"]',
+    "--set", 'train={"learning_rates":[0.1],"epochs_per_rate":1,"batch_size":8,"rng_seed":3}',
+    "--set", 'arch=[{"kind":"Flatten"},{"kind":"Dense","out_features":null}]',
+    "--set", 'attack={"epsilons":[0,4],"steps":2}',
+    "--set", 'noise={"epsilon_max":20,"samples_per_image":3,"num_images":8,"rng_seed":0,"select_k":2}',
+    "--set", 'ensemble={"plan":null,"members":[["a","identity"],["b","grayscale"]]}',
+    "--set", "certify.num_inputs=5",
+]
+DESK = ["--config", os.path.join(ROOT, "scripts", "desk_config.json")]
+
+
+def runs():
+    """(out_dir, argv) per command, out_dir relative to the working directory."""
+    for command in ("train", "correlate", "attack", "transfer", "ensemble-eval", "certify"):
+        yield "test09", [command, "--out-dir", "test09", *TEST09]
+    for command in ("train", "correlate", "attack", "transfer"):
+        yield "desk", [command, "--out-dir", "desk", *DESK, "--tag", "desk"]
+    for plan in ("mincorr", "maxcorr"):
+        plan_args = ["--tag", plan, "--set", f'ensemble.plan="{plan}"']
+        yield "desk", ["ensemble-eval", "--out-dir", "desk", *DESK, *plan_args,
+                       "--set", 'attack.bpda="adjoint"']
+        yield "desk", ["certify", "--out-dir", "desk", *DESK, *plan_args]
+
+
+def sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--only", choices=("test09", "desk"), help="run one config only")
+    parser.add_argument("--keep", help="run in this directory and keep the outputs")
+    args = parser.parse_args()
+    with contextlib.ExitStack() as stack:
+        work = args.keep or stack.enter_context(tempfile.TemporaryDirectory())
+        os.makedirs(work, exist_ok=True)
+        # The CSV provenance line hashes the config, out_dir included, so the
+        # runs use the same relative out_dir wherever the work directory is.
+        stack.callback(os.chdir, os.getcwd())
+        os.chdir(work)
+        for out_dir, argv in runs():
+            if args.only not in (None, out_dir):
+                continue
+            print("running", out_dir, argv[0], file=sys.stderr)
+            with contextlib.redirect_stdout(sys.stderr):
+                rc = cli.main(argv)
+            if rc:
+                return rc
+        found = []
+        for base, _, files in os.walk("."):
+            found += [os.path.join(base, f)[2:] for f in files if f.endswith((".csv", ".fenet"))]
+        for path in sorted(found):
+            print(f"{sha256(path)}  {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -46,7 +46,8 @@ class AttackConfig:
         if self.step_size is not None:
             if not self.step_size > 0:
                 raise ValueError(f"step_size must be positive, got {self.step_size}")
-            if self.method in ("bim", "pgd") and self.step_size > self.radius:
+            # radius 0 never steps, so any fixed step is harmless there
+            if self.method in ("bim", "pgd") and 0 < self.radius < self.step_size:
                 raise ValueError(
                     f"step_size {self.step_size} exceeds radius {self.radius}"
                 )

@@ -190,7 +190,8 @@ def _validate(cfg: dict) -> None:
     _expect(int(cfg["certify"]["num_inputs"]) >= 1, "certify.num_inputs: must be >= 1")
     # Dataclass constructors own the numeric domain checks.
     _train_config(cfg)
-    _attack_config(cfg, cfg["attack"]["epsilons"][0])
+    for eps in cfg["attack"]["epsilons"]:
+        _attack_config(cfg, eps)
     _noise_config(cfg)
 
 
@@ -385,7 +386,12 @@ def cmd_train(cfg) -> list:
     rows = ["filter,rate_index,learning_rate,epoch,mean_loss"]
     for i, name in enumerate(_unique_filters(cfg)):
         fds = _filtered(bank[name], train_ds)
-        net = nn.build_network(cfg["arch"], fds.image_shape, fds.num_classes, seed=cfg["seed"] + i)
+        try:
+            net = nn.build_network(cfg["arch"], fds.image_shape, fds.num_classes, seed=cfg["seed"] + i)
+        except nn.ShapeMismatchError as e:
+            raise ConfigError(f"arch: {e}") from None
+        except ValueError as e:  # names the entry as arch[i]
+            raise ConfigError(str(e)) from None
         net, log = nn.train(net, fds, tcfg)
         model_io.save_network(net, _model_path(cfg, name))
         for ri, rate, epoch, loss in log:

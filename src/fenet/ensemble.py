@@ -49,10 +49,10 @@ class SubModel:
         """The network's input gradient at the filtered batch, sent back through the filter."""
         xb = np.asarray(xb, dtype=np.float64)
         gz = self.net.grad_input_batch(flt.apply_batch(self.filter, xb), labels)
-        in_shape = xb.shape[1:]
-        return np.stack(
-            [flt.bpda_backward(self.filter, g, in_shape, mode=self.bpda) for g in gz]
-        )
+        gx = np.empty_like(xb)
+        for i, g in enumerate(gz):
+            gx[i] = flt.bpda_backward(self.filter, g, xb.shape[1:], mode=self.bpda)
+        return gx
 
     def check_compatible(self, image_shape):
         out = flt.output_shape(self.filter, image_shape)

@@ -121,6 +121,10 @@ def apply(spec: FilterSpec, img) -> np.ndarray:
 
 def apply_batch(spec: FilterSpec, imgs) -> np.ndarray:
     imgs = np.asarray(imgs, dtype=np.float64)
+    if imgs.ndim != 4:
+        raise ValueError(f"batch must be (N, H, W, C), got shape {imgs.shape}")
+    if len(imgs) == 0:
+        return np.empty((0,) + output_shape(spec, imgs.shape[1:]))
     return np.stack([apply(spec, im) for im in imgs])
 
 
@@ -179,15 +183,8 @@ def _downsize_adjoint(g, src_h: int, src_w: int) -> np.ndarray:
 
 # ------------------------------------------------------------- quantization
 
-class _OctreeNode:
-    __slots__ = ("rsum", "gsum", "bsum", "count", "seq")
-
-    def __init__(self):
-        self.rsum = 0
-        self.gsum = 0
-        self.bsum = 0
-        self.count = 0
-        self.seq = 1 << 62
+# each byte with its bits spread three apart (bit i to bit 3i)
+_SPREAD3 = np.array([sum((v >> i & 1) << 3 * i for i in range(8)) for v in range(256)])
 
 
 def octree_quantize(img, max_colors: int = 16, depth: int = 7) -> np.ndarray:
@@ -200,6 +197,10 @@ def octree_quantize(img, max_colors: int = 16, depth: int = 7) -> np.ndarray:
     together with its siblings, into the parent cell. A bucket's output
     color is the rounded mean of the pixels it absorbed, which lands inside
     the bucket's own cell, so requantizing a quantized image is a no-op.
+
+    One pass of the loop folds a whole level: sibling groups are taken in
+    the order of their smallest member, for as long as more than
+    `max_colors` buckets remain before the group.
     """
     img = np.asarray(img, dtype=np.float64)
     if img.shape[-1] != 3:
@@ -210,87 +211,43 @@ def octree_quantize(img, max_colors: int = 16, depth: int = 7) -> np.ndarray:
         raise ValueError(f"depth must be in [1, 8], got {depth}")
 
     h, w, _ = img.shape
-    codes = round_half_up(clamp01(img) * 255.0).astype(np.int64)
-    packed = (codes[..., 0] << 16) | (codes[..., 1] << 8) | codes[..., 2]
-    uniq, first, inverse, counts = np.unique(
-        packed.ravel(), return_index=True, return_inverse=True, return_counts=True
+    codes = round_half_up(clamp01(img) * 255.0).astype(np.int64).reshape(-1, 3)
+    # Morton code: channel bits interleaved r, g, b from the top bit down, so
+    # the cell at level l is the top 3*l bits, and in sorted cells every
+    # sibling group is one contiguous run
+    spread = _SPREAD3[codes]
+    morton = spread[:, 0] << 2 | spread[:, 1] << 1 | spread[:, 2]
+    # leaves at the working depth; colors differing below `depth` share a
+    # cell. A cell's first pixel orders it as its first-appearing color would.
+    keys, seq, cell, count = np.unique(
+        morton >> 3 * (8 - depth), return_index=True, return_inverse=True, return_counts=True
     )
-    ur = uniq >> 16
-    ug = (uniq >> 8) & 0xFF
-    ub = uniq & 0xFF
-    seq_of = np.empty(len(uniq), dtype=np.int64)
-    seq_of[np.argsort(first, kind="stable")] = np.arange(len(uniq))
+    sums = np.zeros((len(keys), 3), dtype=np.int64)
+    np.add.at(sums, cell, codes)
 
-    # leaves at the working depth; colors differing below `depth` share a cell
-    shift = 8 - depth
-    levels = {lvl: {} for lvl in range(depth + 1)}
-    bottom = levels[depth]
-    for i in range(len(uniq)):
-        key = (int(ur[i]) >> shift, int(ug[i]) >> shift, int(ub[i]) >> shift)
-        node = bottom.get(key)
-        if node is None:
-            node = bottom[key] = _OctreeNode()
-        c = int(counts[i])
-        node.rsum += int(ur[i]) * c
-        node.gsum += int(ug[i]) * c
-        node.bsum += int(ub[i]) * c
-        node.count += c
-        node.seq = min(node.seq, int(seq_of[i]))
+    while len(keys) > max_colors:
+        parents, gstart, group = np.unique(keys >> 3, return_index=True, return_inverse=True)
+        rank = np.empty(len(keys), dtype=np.int64)
+        rank[np.lexsort((seq, count))] = np.arange(len(keys))
+        gorder = np.argsort(np.minimum.reduceat(rank, gstart))
+        # a group folds while more than max_colors cells remain before it,
+        # and its fold removes all but one of its cells
+        removed = (np.bincount(group) - 1)[gorder]
+        taken = gorder[len(keys) - (np.cumsum(removed) - removed) > max_colors]
+        gsums = np.add.reduceat(sums, gstart)
+        gcount = np.add.reduceat(count, gstart)
+        if len(taken) < len(gstart):
+            # a partial pass ends the loop: fold only the taken groups
+            folded = np.isin(group, taken)
+            sums = np.where(folded[:, None], gsums[group], sums)
+            count = np.where(folded, gcount[group], count)
+            break
+        keys, sums, count = parents, gsums, gcount
+        seq = np.minimum.reduceat(seq, gstart)
+        cell = group[cell]
 
-    n_cells = len(bottom)
-    lvl = depth
-    while n_cells > max_colors:
-        while not levels[lvl]:
-            lvl -= 1
-        cur = levels[lvl]
-        parents = levels[lvl - 1]
-        for key, node in sorted(cur.items(), key=lambda kv: (kv[1].count, kv[1].seq)):
-            if n_cells <= max_colors:
-                break
-            if key not in cur:
-                continue
-            pkey = (key[0] >> 1, key[1] >> 1, key[2] >> 1)
-            parent = _OctreeNode()
-            merged = 0
-            for db in range(8):
-                ck = (pkey[0] << 1 | db >> 2, pkey[1] << 1 | (db >> 1) & 1, pkey[2] << 1 | db & 1)
-                child = cur.pop(ck, None)
-                if child is None:
-                    continue
-                parent.rsum += child.rsum
-                parent.gsum += child.gsum
-                parent.bsum += child.bsum
-                parent.count += child.count
-                parent.seq = min(parent.seq, child.seq)
-                merged += 1
-            parents[pkey] = parent
-            n_cells -= merged - 1
-
-    def palette_code(s, n):
-        return (2 * s + n) // (2 * n)
-
-    # map each distinct input color to its surviving cell's mean color
-    out_codes = np.empty((len(uniq), 3), dtype=np.int64)
-    cache = {}
-    for i in range(len(uniq)):
-        r, g, b = int(ur[i]), int(ug[i]), int(ub[i])
-        node = None
-        for lvl in range(depth, -1, -1):
-            s = 8 - lvl
-            key = (r >> s, g >> s, b >> s)
-            hit = cache.get((lvl,) + key)
-            if hit is not None:
-                node = hit
-                break
-            node = levels[lvl].get(key)
-            if node is not None:
-                cache[(lvl,) + key] = node
-                break
-        out_codes[i, 0] = palette_code(node.rsum, node.count)
-        out_codes[i, 1] = palette_code(node.gsum, node.count)
-        out_codes[i, 2] = palette_code(node.bsum, node.count)
-
-    return (out_codes[inverse].reshape(h, w, 3)) / 255.0
+    palette = (2 * sums + count[:, None]) // (2 * count[:, None])
+    return palette[cell].reshape(h, w, 3) / 255.0
 
 
 # ------------------------------------------------------------- frequency domain

@@ -384,7 +384,7 @@ class Flatten(Layer):
         return self.out_shape
 
     def forward(self, x):
-        return x.reshape(x.shape[0], -1), None
+        return x.reshape((x.shape[0],) + self.out_shape), None
 
     def backward(self, cache, gy, need_input=True, need_params=True):
         gx = gy.reshape((gy.shape[0],) + self.in_shape) if need_input else None
@@ -631,12 +631,17 @@ def build_network(arch, input_shape, num_classes, seed):
     """Construct a seeded network from a list of layer descriptors.
 
     A Dense descriptor with out_features=None resolves to num_classes, so
-    one architecture can serve datasets with different class counts.
+    one architecture can serve datasets with different class counts. A bad
+    descriptor raises ValueError naming it as arch[i]; a stack whose shapes
+    do not chain raises ShapeMismatchError.
     """
     layers = []
-    for h in arch:
-        h = dict(h)
-        if h.get("kind") == "Dense" and h.get("out_features") is None:
-            h["out_features"] = num_classes
-        layers.append(layer_from_header(h))
+    for i, h in enumerate(arch):
+        try:
+            h = dict(h)
+            if h.get("kind") == "Dense" and h.get("out_features") is None:
+                h["out_features"] = num_classes
+            layers.append(layer_from_header(h))
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"arch[{i}]: {e}") from None
     return Network(layers, input_shape, num_classes, seed=seed)

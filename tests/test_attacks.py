@@ -208,6 +208,18 @@ def test_radius_zero_returns_input_unchanged():
         assert res.success == (clean != 0)
 
 
+def test_fixed_step_size_at_radius_zero_returns_input_unchanged():
+    net = linear_net(seed=1)
+    x = interior_x(seed=5)
+    for method in ("bim", "pgd"):
+        cfg = AttackConfig(method=method, radius=0.0, step_size=0.004)
+        res = run_attack_batch(net, x[None], [0], cfg)[0]
+        assert np.array_equal(res.adversarial, x)
+        assert res.queries == 1
+    with pytest.raises(ValueError, match="exceeds radius"):
+        AttackConfig(method="pgd", radius=0.002, step_size=0.004)
+
+
 def test_query_accounting():
     net = linear_net(seed=2)
     x = interior_x(seed=6)

@@ -202,6 +202,48 @@ def test_bpda_off_is_a_config_error(tmp_path, capsys):
     assert "config error: attack.bpda: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ('{"kind":"Dense","out_features":-1}', "out_features must be positive"),
+        ('{"kind":"Dense","out_feature":4}', "out_feature"),
+        ('{"kind":"Dense2"}', "unknown layer kind"),
+    ],
+)
+def test_bad_arch_entry_is_a_config_error(tmp_path, capsys, entry, message):
+    rc = run_cli("train", tmp_path, "--set", f'arch=[{{"kind":"Flatten"}},{entry}]')
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: arch[1]: ") and message in err
+
+
+def test_arch_shape_mismatch_is_a_config_error(tmp_path, capsys):
+    rc = run_cli("train", tmp_path, "--set", 'arch=[{"kind":"Dense","out_features":null}]')
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: arch: Dense expects a flat input")
+
+
+def test_fixed_step_size_accepts_epsilon_zero(run_dir):
+    # a fixed step with a ladder that starts at 0, as in scripts/desk_config.json
+    rc = run_cli("attack", run_dir, "--tag", "step",
+                 "--set", 'attack={"epsilons":[0,2],"steps":2,"step_size":0.004}')
+    assert rc == 0
+    _, _, rows = read_rows(run_dir / "attack_step.csv")
+    test_ds = data.synth_shapes(5, size=8, seed=202)
+    net = model_io.load_network(run_dir / "models" / "identity.fenet")
+    clean = float(np.mean(net.classify_batch(test_ds.images) == test_ds.labels))
+    by_key = {(r[0], r[1]): float(r[2]) for r in rows}
+    assert by_key[("0", "identity")] == clean
+    assert len(rows) == 2 * 3
+
+
+def test_step_size_above_a_later_epsilon_fails_at_config_load(tmp_path, capsys):
+    # every rung is checked before the command runs, not only the first
+    rc = run_cli("attack", tmp_path, "--set", 'attack={"epsilons":[2,1],"step_size":0.005}')
+    assert rc == 2
+    assert "config error: attack: step_size 0.005 exceeds radius" in capsys.readouterr().err
+
+
 def test_missing_models_exit_nonzero(tmp_path, capsys):
     rc = run_cli("attack", tmp_path)
     assert rc == 2

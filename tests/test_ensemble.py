@@ -145,6 +145,15 @@ def test_classify_batch_matches_predict():
     assert [predict(e, x) for x in xb] == list(batch)
 
 
+@pytest.mark.parametrize("mode", ["vote", "score"])
+def test_empty_batch_classifies_to_empty_int64(mode):
+    e = Ensemble([bias_sub("a", (1, 0, 0)), bias_sub("b", (0, 1, 0))], mode=mode)
+    xb = np.zeros((0,) + SHAPE)
+    labels = e.classify_batch(xb)
+    assert labels.shape == (0,) and labels.dtype == np.int64
+    assert e.grad_input_batch(xb, np.zeros(0, dtype=int)).shape == xb.shape
+
+
 # ------------------------------------------------------------------ stability
 
 

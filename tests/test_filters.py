@@ -20,7 +20,7 @@ from fenet.filters import (
     octree_quantize,
     output_shape,
 )
-from fenet.util import rng_from
+from fenet.util import clamp01, rng_from, round_half_up
 
 images = hnp.arrays(
     np.float64,
@@ -66,6 +66,13 @@ def test_apply_batch_stacks():
     out = apply_batch(filter_spec("grayscale"), imgs)
     assert out.shape == (4, 8, 8, 1)
     np.testing.assert_array_equal(out[2], apply(filter_spec("grayscale"), imgs[2]))
+
+
+@pytest.mark.parametrize("name", sorted(default_filters()))
+def test_apply_batch_empty_has_the_output_shape(name):
+    spec = default_filters()[name]
+    out = apply_batch(spec, np.zeros((0, 16, 16, 3)))
+    assert out.shape == (0,) + output_shape(spec, (16, 16, 3))
 
 
 def test_spec_validation():
@@ -247,6 +254,126 @@ def test_octree_validates_params():
         octree_quantize(img, 16, depth=0)
     with pytest.raises(ValueError):
         octree_quantize(img, 16, depth=9)
+
+
+class _OracleNode:
+    __slots__ = ("rsum", "gsum", "bsum", "count", "seq")
+
+    def __init__(self):
+        self.rsum = 0
+        self.gsum = 0
+        self.bsum = 0
+        self.count = 0
+        self.seq = 1 << 62
+
+
+def _octree_oracle(img, max_colors=16, depth=7):
+    """The per-color dict walk octree_quantize replaced, minus checks and lookup cache."""
+    img = np.asarray(img, dtype=np.float64)
+    h, w, _ = img.shape
+    codes = round_half_up(clamp01(img) * 255.0).astype(np.int64)
+    packed = (codes[..., 0] << 16) | (codes[..., 1] << 8) | codes[..., 2]
+    uniq, first, inverse, counts = np.unique(
+        packed.ravel(), return_index=True, return_inverse=True, return_counts=True
+    )
+    ur = uniq >> 16
+    ug = (uniq >> 8) & 0xFF
+    ub = uniq & 0xFF
+    seq_of = np.empty(len(uniq), dtype=np.int64)
+    seq_of[np.argsort(first, kind="stable")] = np.arange(len(uniq))
+
+    shift = 8 - depth
+    levels = {lvl: {} for lvl in range(depth + 1)}
+    bottom = levels[depth]
+    for i in range(len(uniq)):
+        key = (int(ur[i]) >> shift, int(ug[i]) >> shift, int(ub[i]) >> shift)
+        node = bottom.get(key)
+        if node is None:
+            node = bottom[key] = _OracleNode()
+        c = int(counts[i])
+        node.rsum += int(ur[i]) * c
+        node.gsum += int(ug[i]) * c
+        node.bsum += int(ub[i]) * c
+        node.count += c
+        node.seq = min(node.seq, int(seq_of[i]))
+
+    n_cells = len(bottom)
+    lvl = depth
+    while n_cells > max_colors:
+        while not levels[lvl]:
+            lvl -= 1
+        cur = levels[lvl]
+        parents = levels[lvl - 1]
+        for key, node in sorted(cur.items(), key=lambda kv: (kv[1].count, kv[1].seq)):
+            if n_cells <= max_colors:
+                break
+            if key not in cur:
+                continue
+            pkey = (key[0] >> 1, key[1] >> 1, key[2] >> 1)
+            parent = _OracleNode()
+            merged = 0
+            for db in range(8):
+                ck = (pkey[0] << 1 | db >> 2, pkey[1] << 1 | (db >> 1) & 1, pkey[2] << 1 | db & 1)
+                child = cur.pop(ck, None)
+                if child is None:
+                    continue
+                parent.rsum += child.rsum
+                parent.gsum += child.gsum
+                parent.bsum += child.bsum
+                parent.count += child.count
+                parent.seq = min(parent.seq, child.seq)
+                merged += 1
+            parents[pkey] = parent
+            n_cells -= merged - 1
+
+    def palette_code(s, n):
+        return (2 * s + n) // (2 * n)
+
+    out_codes = np.empty((len(uniq), 3), dtype=np.int64)
+    for i in range(len(uniq)):
+        r, g, b = int(ur[i]), int(ug[i]), int(ub[i])
+        for lvl in range(depth, -1, -1):
+            s = 8 - lvl
+            node = levels[lvl].get((r >> s, g >> s, b >> s))
+            if node is not None:
+                break
+        out_codes[i, 0] = palette_code(node.rsum, node.count)
+        out_codes[i, 1] = palette_code(node.gsum, node.count)
+        out_codes[i, 2] = palette_code(node.bsum, node.count)
+
+    return (out_codes[inverse].reshape(h, w, 3)) / 255.0
+
+
+@st.composite
+def octree_cases(draw):
+    """(image, max_colors, depth): few-color palettes or wide, out-of-range noise."""
+    h, w = draw(st.integers(1, 32)), draw(st.integers(1, 32))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["palette", "wide", "narrow"]))
+    if kind == "palette":
+        palette = rng.uniform(-0.2, 1.2, size=(draw(st.integers(1, 80)), 3))
+        img = palette[rng.integers(len(palette), size=(h, w))]
+    elif kind == "wide":
+        img = rng.uniform(-0.5, 1.5, size=(h, w, 3))
+    else:
+        img = rng.normal(rng.uniform(0, 1, size=3), 0.04, size=(h, w, 3))
+    return img, draw(st.integers(2, 64)), draw(st.integers(1, 8))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(octree_cases())
+def test_octree_matches_dict_loop_oracle(case):
+    img, k, depth = case
+    out = octree_quantize(img, max_colors=k, depth=depth)
+    want = _octree_oracle(img, max_colors=k, depth=depth)
+    assert out.dtype == want.dtype
+    assert np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("shape", [(0, 4, 3), (4, 0, 3)])
+def test_octree_empty_image_matches_dict_loop_oracle(shape):
+    out = octree_quantize(np.zeros(shape))
+    assert out.shape == shape and np.array_equal(out, _octree_oracle(np.zeros(shape)))
 
 
 # ---------------------------------------------------------------- DFT

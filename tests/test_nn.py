@@ -160,6 +160,15 @@ def test_non_finite_input_rejected(bad):
         net.classify_batch(np.full((1, 6, 6, 1), np.nan))
 
 
+def test_empty_batch_returns_empty_results():
+    net = small_conv_net(seed=0)
+    xb = np.zeros((0, 6, 6, 1))
+    assert net.forward_batch(xb).shape == (0, net.num_classes)
+    labels = net.classify_batch(xb)
+    assert labels.shape == (0,) and labels.dtype == np.int64
+    assert net.grad_input_batch(xb, np.zeros(0, dtype=int)).shape == xb.shape
+
+
 def test_incompatible_layer_chain_rejected():
     with pytest.raises(ShapeMismatchError):
         Network([Conv2D(2, 3), Dense(3)], (6, 6, 1), 3, seed=0)
