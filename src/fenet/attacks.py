@@ -10,6 +10,7 @@ same for all three. Success is judged by the attacked model's own
 prediction.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -71,7 +72,7 @@ class AttackResult:
 # ------------------------------------------------------------- attack engine
 
 def _norms(d, p):
-    flat = d.reshape(len(d), -1)
+    flat = d.reshape(len(d), math.prod(d.shape[1:]))
     if p == np.inf:
         return np.abs(flat).max(axis=1)
     return np.linalg.norm(flat, axis=1)
@@ -138,12 +139,9 @@ def run_attack_batch(model, xb, labels, cfg: AttackConfig, image_ids=None, trace
     grad_calls = 0
     if r > 0:
         if cfg.method == "pgd" and random_init:
-            deltas = np.stack(
-                [
-                    _init_point(rng_from(cfg.rng_seed, int(i)), xb.shape[1:], r, p)
-                    for i in image_ids
-                ]
-            )
+            deltas = np.empty_like(xb)
+            for k, i in enumerate(image_ids):
+                deltas[k] = _init_point(rng_from(cfg.rng_seed, int(i)), xb.shape[1:], r, p)
             adv = clamp01(xb + deltas)
         for step in range(steps):
             g = sgn * model.grad_input_batch(adv, labels)

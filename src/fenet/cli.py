@@ -276,23 +276,22 @@ def _unique_filters(cfg) -> list:
     return names
 
 
-def _datasets(cfg):
-    """(train split, test split) per the dataset config."""
+def _dataset(cfg, split: str):
+    """The "train" or "test" split per the dataset config."""
     dcfg = cfg["dataset"]
     if dcfg["kind"] == "synth":
-        train = data.synth_shapes(dcfg["num_per_class"], size=dcfg["size"], seed=dcfg["train_seed"])
-        test = data.synth_shapes(dcfg["test_per_class"], size=dcfg["size"], seed=dcfg["test_seed"])
+        per_class = dcfg["num_per_class" if split == "train" else "test_per_class"]
+        ds = data.synth_shapes(per_class, size=dcfg["size"], seed=dcfg[f"{split}_seed"])
     else:
         base = dcfg["dir"] or os.environ.get(DATA_DIR_ENV) or "data"
         try:
             train, test = data.load_cifar10(base)
         except (OSError, data.DatasetFormatError) as e:
             raise ConfigError(f"dataset.dir: {e}") from None
+        ds = train if split == "train" else test
     if dcfg["subset"] is not None:
-        n = int(dcfg["subset"])
-        train = data.subset(train, min(n, len(train.images)), seed=dcfg["subset_seed"])
-        test = data.subset(test, min(n, len(test.images)), seed=dcfg["subset_seed"])
-    return train, test
+        ds = data.subset(ds, min(int(dcfg["subset"]), len(ds.images)), seed=dcfg["subset_seed"])
+    return ds
 
 
 def _filtered(spec, ds):
@@ -378,21 +377,31 @@ def _write_outputs(cfg, command: str, bodies: dict) -> list:
 # ------------------------------------------------------------------- commands
 
 
+def _build_network(cfg, in_shape, num_classes, seed) -> nn.Network:
+    try:
+        return nn.build_network(cfg["arch"], in_shape, num_classes, seed=seed)
+    except nn.ShapeMismatchError as e:
+        raise ConfigError(f"arch: {e}") from None
+    except ValueError as e:  # names the entry as arch[i]
+        raise ConfigError(str(e)) from None
+
+
 def cmd_train(cfg) -> list:
-    train_ds, _ = _datasets(cfg)
+    train_ds = _dataset(cfg, "train")
     bank = _bank(cfg)
     tcfg = _train_config(cfg)
+    names = _unique_filters(cfg)
+    # every filter's network is built before any is trained, so an arch that
+    # fits only some filter outputs fails before a model file is written
+    nets = [
+        _build_network(cfg, flt.output_shape(bank[name], train_ds.image_shape),
+                       train_ds.num_classes, cfg["seed"] + i)
+        for i, name in enumerate(names)
+    ]
     os.makedirs(_models_dir(cfg), exist_ok=True)
     rows = ["filter,rate_index,learning_rate,epoch,mean_loss"]
-    for i, name in enumerate(_unique_filters(cfg)):
-        fds = _filtered(bank[name], train_ds)
-        try:
-            net = nn.build_network(cfg["arch"], fds.image_shape, fds.num_classes, seed=cfg["seed"] + i)
-        except nn.ShapeMismatchError as e:
-            raise ConfigError(f"arch: {e}") from None
-        except ValueError as e:  # names the entry as arch[i]
-            raise ConfigError(str(e)) from None
-        net, log = nn.train(net, fds, tcfg)
+    for name, net in zip(names, nets):
+        net, log = nn.train(net, _filtered(bank[name], train_ds), tcfg)
         model_io.save_network(net, _model_path(cfg, name))
         for ri, rate, epoch, loss in log:
             rows.append(f"{name},{ri},{rate:.6g},{epoch},{loss:.10g}")
@@ -400,7 +409,7 @@ def cmd_train(cfg) -> list:
 
 
 def cmd_correlate(cfg) -> list:
-    _, test_ds = _datasets(cfg)
+    test_ds = _dataset(cfg, "test")
     bank = _correlate_bank(cfg)
     ncfg = _noise_config(cfg)
     try:
@@ -427,7 +436,7 @@ def _attack_rows(cfg, targets: dict, test_ds) -> list:
 
 
 def cmd_attack(cfg) -> list:
-    _, test_ds = _datasets(cfg)
+    test_ds = _dataset(cfg, "test")
     bank = _bank(cfg)
     targets = {name: _load_submodel(cfg, bank, name, name) for name in _unique_filters(cfg)}
     rows = _attack_rows(cfg, targets, test_ds)
@@ -435,7 +444,7 @@ def cmd_attack(cfg) -> list:
 
 
 def cmd_transfer(cfg) -> list:
-    _, test_ds = _datasets(cfg)
+    test_ds = _dataset(cfg, "test")
     bank = _bank(cfg)
     source = _load_submodel(cfg, bank, cfg["attack"]["source"], cfg["attack"]["source"])
     targets = {name: _load_submodel(cfg, bank, name, name) for name in _unique_filters(cfg)}
@@ -445,7 +454,7 @@ def cmd_transfer(cfg) -> list:
 
 
 def cmd_ensemble_eval(cfg) -> list:
-    _, test_ds = _datasets(cfg)
+    test_ds = _dataset(cfg, "test")
     bank = _bank(cfg, names=[f for _, f in _members(cfg)])
     subs = _ensemble_submodels(cfg, bank)
     vote_ens = ensemble.Ensemble(subs, mode="vote")
@@ -465,7 +474,7 @@ def cmd_ensemble_eval(cfg) -> list:
 
 
 def cmd_certify(cfg) -> list:
-    _, test_ds = _datasets(cfg)
+    test_ds = _dataset(cfg, "test")
     bank = _bank(cfg, names=[f for _, f in _members(cfg)])
     subs = _ensemble_submodels(cfg, bank)
     n = int(cfg["certify"]["num_inputs"])

@@ -49,10 +49,7 @@ class SubModel:
         """The network's input gradient at the filtered batch, sent back through the filter."""
         xb = np.asarray(xb, dtype=np.float64)
         gz = self.net.grad_input_batch(flt.apply_batch(self.filter, xb), labels)
-        gx = np.empty_like(xb)
-        for i, g in enumerate(gz):
-            gx[i] = flt.bpda_backward(self.filter, g, xb.shape[1:], mode=self.bpda)
-        return gx
+        return flt.bpda_backward(self.filter, gz, xb.shape[1:], mode=self.bpda)
 
     def check_compatible(self, image_shape):
         out = flt.output_shape(self.filter, image_shape)

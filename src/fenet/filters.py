@@ -2,11 +2,15 @@
 
 Seven kinds: identity, discretize, downsize (bilinear), grayscale (BT.601
 luma), octree (color quantization), lowpass, highpass (Gaussian-masked DFT).
-Images are (H, W, C) float arrays in [0, 1] with C of 1 or 3. Every filter is
-a pure function; `bpda_backward` supplies the gradient substitution used when
-attacking through the non-differentiable ones.
+Images are (H, W, C) float arrays in [0, 1] with C of 1 or 3. Filters are
+batch-first: each one works on the trailing three axes, so it takes one
+image or an (N, H, W, C) batch, and a batch gives the same bits as its
+images one by one. Every filter is a pure function; `bpda_backward`
+supplies the gradient substitution used when attacking through the
+non-differentiable ones.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,8 +89,10 @@ def default_filters() -> dict:
 
 def _check_image(img) -> np.ndarray:
     img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 3 or img.shape[2] not in (1, 3):
-        raise ValueError(f"image must be (H, W, C) with C of 1 or 3, got shape {img.shape}")
+    if img.ndim not in (3, 4) or img.shape[-1] not in (1, 3):
+        raise ValueError(
+            f"image must be (H, W, C) or (N, H, W, C) with C of 1 or 3, got shape {img.shape}"
+        )
     if not np.all(np.isfinite(img)):
         raise ValueError("image contains non-finite pixels")
     return img
@@ -103,6 +109,7 @@ def output_shape(spec: FilterSpec, in_shape) -> tuple:
 
 
 def apply(spec: FilterSpec, img) -> np.ndarray:
+    """Filter one (H, W, C) image or an (N, H, W, C) batch, clamped to [0, 1]."""
     img = _check_image(img)
     if spec.kind == "identity":
         out = img.copy()
@@ -116,7 +123,8 @@ def apply(spec: FilterSpec, img) -> np.ndarray:
         out = octree_quantize(img, spec.param("max_colors", 16), spec.param("depth", 7))
     else:
         out = frequency_filter(img, spec.param("sigma", 8.0), mode=spec.kind[:-4])
-    return clamp01(out)
+    # every branch returns a fresh array, so clamping in place is safe
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def apply_batch(spec: FilterSpec, imgs) -> np.ndarray:
@@ -125,14 +133,19 @@ def apply_batch(spec: FilterSpec, imgs) -> np.ndarray:
         raise ValueError(f"batch must be (N, H, W, C), got shape {imgs.shape}")
     if len(imgs) == 0:
         return np.empty((0,) + output_shape(spec, imgs.shape[1:]))
-    return np.stack([apply(spec, im) for im in imgs])
+    return apply(spec, imgs)
 
 
 # ------------------------------------------------------------- elementwise
 
 def discretize(img) -> np.ndarray:
     """Snap every pixel to the nearest 1/255 step, halves rounding up."""
-    return round_half_up(np.asarray(img, dtype=np.float64) * 255.0) / 255.0
+    # round_half_up(img * 255) / 255, one buffer for the whole batch
+    out = np.asarray(img, dtype=np.float64) * 255.0
+    out += 0.5
+    np.floor(out, out=out)
+    out /= 255.0
+    return out
 
 
 def grayscale(img) -> np.ndarray:
@@ -144,6 +157,7 @@ def grayscale(img) -> np.ndarray:
 
 # ------------------------------------------------------------- resampling
 
+@functools.lru_cache(maxsize=32)
 def _bilinear_weights(src: int, dst: int) -> np.ndarray:
     """(dst, src) row-stochastic matrix for half-pixel-centered bilinear sampling."""
     w = np.zeros((dst, src))
@@ -156,29 +170,55 @@ def _bilinear_weights(src: int, dst: int) -> np.ndarray:
         hi = min(max(y0 + 1, 0), src - 1)
         w[i, lo] += 1.0 - f
         w[i, hi] += f
+    w.setflags(write=False)
     return w
+
+
+@functools.lru_cache(maxsize=32)
+def _bilinear_taps(src: int, dst: int):
+    """The two non-zero columns of each row of `_bilinear_weights` and their weights.
+
+    Returns (index, weight), each (2, dst). A row with a single non-zero
+    column keeps it as tap 0 and gets a zero-weight tap 1.
+    """
+    w = _bilinear_weights(src, dst)
+    rows = np.arange(dst)
+    lo = np.argmax(w != 0, axis=1)
+    hi = np.minimum(lo + 1, src - 1)
+    index = np.stack([lo, hi])
+    weight = np.stack([w[rows, lo], np.where(hi != lo, w[rows, hi], 0.0)])
+    index.setflags(write=False)
+    weight.setflags(write=False)
+    return index, weight
 
 
 def downsize(img, target_h: int, target_w: int) -> np.ndarray:
     img = np.asarray(img, dtype=np.float64)
-    h, w = img.shape[:2]
+    h, w = img.shape[-3:-1]
     if target_h > h or target_w > w:
         raise ValueError(f"target ({target_h}, {target_w}) exceeds source ({h}, {w})")
     if (target_h, target_w) == (h, w):
         return img.copy()
-    wy = _bilinear_weights(h, target_h)
-    wx = _bilinear_weights(w, target_w)
-    return np.einsum("ih,jw,hwc->ijc", wy, wx, img)
+    ys, wy = _bilinear_taps(h, target_h)
+    xs, wx = _bilinear_taps(w, target_w)
+    # the dense product sum_hw wy[i, h] * wx[j, w] * img[h, w] over its four
+    # non-zero taps, added in the same (h, w) order, so the bits match it
+    out = np.zeros(img.shape[:-3] + (target_h, target_w, img.shape[-1]))
+    for a in (0, 1):
+        rows = img[..., ys[a], :, :]
+        for b in (0, 1):
+            out += (wy[a][:, None] * wx[b])[..., None] * rows[..., xs[b], :]
+    return out
 
 
 def _downsize_adjoint(g, src_h: int, src_w: int) -> np.ndarray:
     g = np.asarray(g, dtype=np.float64)
-    th, tw = g.shape[:2]
+    th, tw = g.shape[-3:-1]
     if (th, tw) == (src_h, src_w):
         return g.copy()
     wy = _bilinear_weights(src_h, th)
     wx = _bilinear_weights(src_w, tw)
-    return np.einsum("ih,jw,ijc->hwc", wy, wx, g)
+    return np.einsum("ih,jw,...ijc->...hwc", wy, wx, g)
 
 
 # ------------------------------------------------------------- quantization
@@ -188,7 +228,7 @@ _SPREAD3 = np.array([sum((v >> i & 1) << 3 * i for i in range(8)) for v in range
 
 
 def octree_quantize(img, max_colors: int = 16, depth: int = 7) -> np.ndarray:
-    """Reduce an RGB image to at most `max_colors` distinct colors.
+    """Reduce an RGB image, or each image of a batch, to at most `max_colors` colors.
 
     Colors are first snapped to the 8-bit grid, then bucketed by an octree
     that partitions each channel most-significant-bit first down to `depth`
@@ -209,7 +249,13 @@ def octree_quantize(img, max_colors: int = 16, depth: int = 7) -> np.ndarray:
         raise ValueError(f"max_colors must be >= 2, got {max_colors}")
     if not 1 <= depth <= 8:
         raise ValueError(f"depth must be in [1, 8], got {depth}")
+    out = np.empty(img.shape)
+    for i in np.ndindex(img.shape[:-3]):
+        out[i] = _octree_one(img[i], max_colors, depth)
+    return out
 
+
+def _octree_one(img, max_colors, depth):
     h, w, _ = img.shape
     codes = round_half_up(clamp01(img) * 255.0).astype(np.int64).reshape(-1, 3)
     # Morton code: channel bits interleaved r, g, b from the top bit down, so
@@ -273,6 +319,19 @@ def gaussian_mask(h: int, w: int, sigma: float) -> np.ndarray:
     return np.exp(-d2 / (2.0 * sigma**2))
 
 
+@functools.lru_cache(maxsize=32)
+def _spectral_mask(h: int, w: int, sigma: float, mode: str) -> np.ndarray:
+    """The low or high mask in unshifted DFT order, (h, w, 1) to broadcast over channels."""
+    mask = gaussian_mask(h, w, sigma)
+    if mode == "high":
+        mask = 1.0 - mask
+    # ifftshift(fftshift(F) * mask) == F * ifftshift(mask): a permutation,
+    # so masking the unshifted spectrum gives the same bits
+    mask = np.fft.ifftshift(mask)[..., None]
+    mask.setflags(write=False)
+    return mask
+
+
 def frequency_filter(img, sigma: float, mode: str, clamp: bool = True) -> np.ndarray:
     """Gaussian low-pass or its complement applied in the frequency domain.
 
@@ -282,14 +341,14 @@ def frequency_filter(img, sigma: float, mode: str, clamp: bool = True) -> np.nda
     if mode not in ("low", "high"):
         raise ValueError(f"mode must be 'low' or 'high', got {mode!r}")
     img = np.asarray(img, dtype=np.float64)
-    h, w = img.shape[:2]
-    mask = gaussian_mask(h, w, sigma)
-    if mode == "high":
-        mask = 1.0 - mask
-    out = np.empty_like(img)
-    for c in range(img.shape[2]):
-        out[..., c] = idft2(dft2(img[..., c]) * mask)
-    return clamp01(out) if clamp else out
+    mask = _spectral_mask(*img.shape[-3:-1], sigma, mode)
+    # image by image: one whole-batch spectrum would hold N complex copies
+    out = np.empty(img.shape)
+    for i in np.ndindex(img.shape[:-3]):
+        spectrum = np.fft.fft2(img[i], axes=(0, 1))
+        spectrum *= mask
+        out[i] = np.fft.ifft2(spectrum, axes=(0, 1)).real
+    return np.clip(out, 0.0, 1.0, out=out) if clamp else out
 
 
 # ------------------------------------------------------------- backward rules
@@ -302,16 +361,17 @@ def bpda_backward(spec: FilterSpec, gy, in_shape, mode: str = "identity") -> np.
     the adjoint of their linear map, since an identity gradient cannot
     exist across shapes. mode="adjoint" additionally backs the frequency
     filters with their exact adjoint (the unclamped filter itself; the
-    masked-spectrum operator is symmetric).
+    masked-spectrum operator is symmetric). `gy` is one gradient shaped
+    like the filter output or an (N,) batch of them.
     """
     if mode not in BPDA_MODES:
         raise ValueError(f"mode must be 'identity' or 'adjoint', got {mode!r}")
     gy = np.asarray(gy, dtype=np.float64)
     expect = output_shape(spec, in_shape)
-    if gy.shape != expect:
+    if gy.shape[-3:] != expect or gy.ndim not in (3, 4):
         raise ValueError(f"upstream gradient shape {gy.shape} != filter output {expect}")
     if spec.kind == "downsize":
-        return _downsize_adjoint(gy, in_shape[0], in_shape[1])
+        return _downsize_adjoint(gy, *in_shape[:2])
     if spec.kind == "grayscale":
         return gy * LUMA_WEIGHTS
     if mode == "adjoint" and spec.kind in ("lowpass", "highpass"):

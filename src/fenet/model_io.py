@@ -7,6 +7,7 @@ float64, row-major. Round-trips are bit-exact.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -52,25 +53,20 @@ def load_network(path) -> Network:
         raise ModelFormatError(f"{path}: truncated header")
     try:
         header = json.loads(blob[off : off + hlen].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise ModelFormatError(f"{path}: unreadable header ({e})") from e
     off += hlen
 
     # Bind shapes first so parameter sizes are known, then slice the blob.
     try:
-        layers = [layer_from_header(h) for h in header["layers"]]
-        input_shape = tuple(header["input_shape"])
-        num_classes = header["num_classes"]
-        shape = input_shape
-        for layer in layers:
-            shape = layer.bind(shape)
-    except (KeyError, TypeError, ValueError) as e:
+        layers, input_shape, num_classes = _bind_header(header)
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ModelFormatError(f"{path}: bad header ({e})") from e
     param_shapes = _param_shapes(layers, input_shape)
     for layer, shapes in zip(layers, param_shapes):
         arrays = []
         for s in shapes:
-            n = int(np.prod(s)) if s else 1
+            n = math.prod(s)
             nbytes = n * 8
             if len(blob) < off + nbytes:
                 raise ModelFormatError(
@@ -89,6 +85,26 @@ def load_network(path) -> Network:
         return Network(layers, input_shape, num_classes)
     except ValueError as e:
         raise ModelFormatError(f"{path}: bad header ({e})") from e
+
+
+def _positive_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
+def _bind_header(header):
+    """(layers bound to the input shape, input shape, class count) from a parsed header."""
+    if not isinstance(header, dict) or not isinstance(header.get("layers"), list):
+        raise ValueError("expected an object with a layers list")
+    input_shape, num_classes = header["input_shape"], header["num_classes"]
+    if not (isinstance(input_shape, list) and input_shape and all(map(_positive_int, input_shape))):
+        raise ValueError(f"input_shape must be a list of positive integers, got {input_shape!r}")
+    if not _positive_int(num_classes):
+        raise ValueError(f"num_classes must be a positive integer, got {num_classes!r}")
+    layers = [layer_from_header(h) for h in header["layers"]]
+    shape = tuple(input_shape)
+    for layer in layers:
+        shape = layer.bind(shape)
+    return layers, tuple(input_shape), num_classes
 
 
 def _param_shapes(layers, input_shape):

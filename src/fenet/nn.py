@@ -8,6 +8,7 @@ Layout conventions: images are (H, W, C) channels-last, batches prepend N.
 Dense weights are (out, in); conv kernels are (out_c, in_c, kh, kw).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -380,7 +381,7 @@ class Flatten(Layer):
 
     def bind(self, in_shape):
         self.in_shape = tuple(in_shape)
-        self.out_shape = (int(np.prod(in_shape)),)
+        self.out_shape = (math.prod(in_shape),)
         return self.out_shape
 
     def forward(self, x):

@@ -77,18 +77,19 @@ def sample_sensitivities(filter_bank: dict, dataset, cfg: NoiseConfig) -> list:
     samples = []
     for image_id in sorted(int(i) for i in ids):
         x = dataset.images[image_id]
-        base = [flt.apply(spec, x) for spec in filter_bank.values()]
         rng = noise_stream(cfg.rng_seed, image_id)
-        for noise_id in range(cfg.samples_per_image):
-            delta = draw_noise(rng, x.shape, cfg.epsilon_max)
-            perturbed = clamp01(x + delta)
-            values = np.array(
-                [
-                    np.linalg.norm(flt.apply(spec, perturbed) - b)
-                    for spec, b in zip(filter_bank.values(), base)
-                ]
-            )
-            samples.append(SensitivitySample(image_id, noise_id, values, names))
+        deltas = [draw_noise(rng, x.shape, cfg.epsilon_max) for _ in range(cfg.samples_per_image)]
+        # row 0 is the clean image, row 1 + k its k-th noisy copy
+        batch = np.concatenate([x[None], clamp01(x + np.stack(deltas))])
+        values = np.empty((cfg.samples_per_image, len(names)))
+        for j, spec in enumerate(filter_bank.values()):
+            out = flt.apply_batch(spec, batch)
+            # one norm per sample: a norm along an axis sums in another order
+            for k in range(cfg.samples_per_image):
+                values[k, j] = np.linalg.norm(out[1 + k] - out[0])
+        samples.extend(
+            SensitivitySample(image_id, k, values[k], names) for k in range(cfg.samples_per_image)
+        )
     return samples
 
 

@@ -220,6 +220,15 @@ def test_fixed_step_size_at_radius_zero_returns_input_unchanged():
         AttackConfig(method="pgd", radius=0.002, step_size=0.004)
 
 
+@pytest.mark.parametrize("norm", ["inf", 2])
+def test_empty_batch_with_random_init_returns_no_results(norm):
+    net = linear_net(seed=1)
+    sub = SubModel("low", flt.filter_spec("lowpass", sigma=2.0), net)
+    cfg = AttackConfig(method="pgd", radius=0.05, norm=norm, steps=2, random_init=True)
+    for model in (net, sub, Ensemble([sub, sub])):
+        assert run_attack_batch(model, np.zeros((0,) + IMG), [], cfg) == []
+
+
 def test_query_accounting():
     net = linear_net(seed=2)
     x = interior_x(seed=6)

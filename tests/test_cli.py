@@ -223,6 +223,19 @@ def test_arch_shape_mismatch_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: arch: Dense expects a flat input")
 
 
+def test_arch_is_checked_for_every_filter_before_any_training(tmp_path, capsys):
+    # a valid 5x5 kernel fits the 8x8 identity output but not the 4x4 downsize
+    arch = ('arch=[{"kind":"Conv2D","out_channels":2,"kernel":[5,5],"stride":1,"padding":"valid"},'
+            '{"kind":"Flatten"},{"kind":"Dense","out_features":null}]')
+    rc = run_cli("train", tmp_path, "--set", 'filters=["identity","downsize"]', "--set", arch)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: arch: input (4, 4, 3) smaller than kernel (5, 5)"
+    )
+    assert not (tmp_path / "models").exists()
+    assert not (tmp_path / "train_t.csv").exists()
+
+
 def test_fixed_step_size_accepts_epsilon_zero(run_dir):
     # a fixed step with a ladder that starts at 0, as in scripts/desk_config.json
     rc = run_cli("attack", run_dir, "--tag", "step",

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fenet.filters import (
+    KINDS,
     FilterSpec,
     apply,
     apply_batch,
@@ -529,3 +530,144 @@ def test_filters_deterministic():
     img = rand_img(80, 10, 10)
     for name, spec in bank_for(img).items():
         assert np.array_equal(apply(spec, img), apply(spec, img)), name
+
+
+# ---------------------------------------------------------------- batch-first oracles
+# The per-image code the batch-first filters replaced, kept as oracles: each
+# filter and backward rule must give the same bits as these, image by image.
+
+def _bilinear_weights_oracle(src, dst):
+    w = np.zeros((dst, src))
+    scale = src / dst
+    for i in range(dst):
+        y = (i + 0.5) * scale - 0.5
+        y0 = int(np.floor(y))
+        f = y - y0
+        lo = min(max(y0, 0), src - 1)
+        hi = min(max(y0 + 1, 0), src - 1)
+        w[i, lo] += 1.0 - f
+        w[i, hi] += f
+    return w
+
+
+def _downsize_oracle(img, th, tw):
+    h, w = img.shape[:2]
+    if (th, tw) == (h, w):
+        return img.copy()
+    wy, wx = _bilinear_weights_oracle(h, th), _bilinear_weights_oracle(w, tw)
+    return np.einsum("ih,jw,hwc->ijc", wy, wx, img)
+
+
+def _frequency_oracle(img, sigma, mode, clamp=True):
+    h, w = img.shape[:2]
+    mask = gaussian_mask(h, w, sigma)
+    if mode == "high":
+        mask = 1.0 - mask
+    out = np.empty_like(img)
+    for c in range(img.shape[2]):
+        shifted = np.fft.fftshift(np.fft.fft2(img[..., c]))
+        out[..., c] = np.fft.ifft2(np.fft.ifftshift(shifted * mask)).real
+    return clamp01(out) if clamp else out
+
+
+def _apply_oracle(spec, img):
+    if spec.kind == "identity":
+        out = img.copy()
+    elif spec.kind == "discretize":
+        out = round_half_up(img * 255.0) / 255.0
+    elif spec.kind == "downsize":
+        out = _downsize_oracle(img, *spec.param("target"))
+    elif spec.kind == "grayscale":
+        out = (img @ np.array([0.299, 0.587, 0.114]))[..., None]
+    elif spec.kind == "octree":
+        out = _octree_oracle(img, spec.param("max_colors", 16), spec.param("depth", 7))
+    else:
+        out = _frequency_oracle(img, spec.param("sigma", 8.0), spec.kind[:-4])
+    return clamp01(out)
+
+
+def _bpda_oracle(spec, gy, in_shape, mode):
+    if spec.kind == "downsize":
+        h, w = in_shape[:2]
+        th, tw = gy.shape[:2]
+        if (th, tw) == (h, w):
+            return gy.copy()
+        wy, wx = _bilinear_weights_oracle(h, th), _bilinear_weights_oracle(w, tw)
+        return np.einsum("ih,jw,ijc->hwc", wy, wx, gy)
+    if spec.kind == "grayscale":
+        return gy * np.array([0.299, 0.587, 0.114])
+    if mode == "adjoint" and spec.kind in ("lowpass", "highpass"):
+        return _frequency_oracle(gy, spec.param("sigma", 8.0), spec.kind[:-4], clamp=False)
+    return gy.copy()
+
+
+def _random_images(rng, style, n, h, w, c):
+    """n images in [0, 1] or well outside it, by style."""
+    shape = (n, h, w, c)
+    if style == "unit":
+        return rng.uniform(size=shape)
+    if style == "wide":
+        return rng.uniform(-0.5, 1.5, size=shape)
+    if style == "grid":  # the 1/255 grid and its half steps, where x * 255 ties exactly
+        return rng.integers(-80, 591, size=shape) / 2 / 255
+    return rng.normal(0.5, 3.0, size=shape)
+
+
+@st.composite
+def filter_cases(draw, max_images=3):
+    """(spec, batch): any kind with drawn parameters, sizes 1-33, C of 1 or 3."""
+    kind = draw(st.sampled_from(KINDS))
+    h, w = draw(st.integers(1, 33)), draw(st.integers(1, 33))
+    c = 3 if kind in ("grayscale", "octree") else draw(st.sampled_from([1, 3]))
+    if kind == "downsize":
+        spec = filter_spec(kind, target=(draw(st.integers(1, h)), draw(st.integers(1, w))))
+    elif kind == "octree":
+        spec = filter_spec(kind, max_colors=draw(st.integers(2, 64)), depth=draw(st.integers(1, 8)))
+    elif kind in ("lowpass", "highpass"):
+        spec = filter_spec(kind, sigma=draw(st.floats(0.05, 60.0)))
+    else:
+        spec = filter_spec(kind)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    style = draw(st.sampled_from(["unit", "wide", "grid", "normal"]))
+    n = draw(st.integers(1, max_images))
+    return spec, _random_images(rng, style, n, h, w, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(filter_cases())
+def test_batched_filter_matches_per_image_oracle(case):
+    spec, batch = case
+    want = np.stack([_apply_oracle(spec, img) for img in batch])
+    got = apply_batch(spec, batch)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(apply(spec, batch[0]), want[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(filter_cases(max_images=1))
+def test_apply_on_an_image_equals_apply_batch_of_one(case):
+    spec, batch = case
+    img = batch[0]
+    assert np.array_equal(apply(spec, img), apply_batch(spec, img[None])[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(filter_cases(), st.sampled_from(["identity", "adjoint"]))
+def test_batched_bpda_matches_per_image_oracle(case, mode):
+    spec, batch = case
+    in_shape = batch.shape[1:]
+    rng = np.random.default_rng(batch.size)
+    gy = rng.normal(size=(len(batch),) + output_shape(spec, in_shape))
+    want = np.stack([_bpda_oracle(spec, g, in_shape, mode) for g in gy])
+    got = bpda_backward(spec, gy, in_shape, mode=mode)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(bpda_backward(spec, gy[0], in_shape, mode=mode), want[0])
+
+
+def test_filters_leave_their_input_unchanged():
+    batch = rng_from(90).uniform(-0.5, 1.5, size=(3, 9, 7, 3))
+    keep = batch.copy()
+    for name, spec in bank_for(batch[0]).items():
+        apply_batch(spec, batch)
+        bpda_backward(spec, apply_batch(spec, batch), batch.shape[1:], mode="adjoint")
+        assert np.array_equal(batch, keep), name

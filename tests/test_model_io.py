@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fenet.model_io import MAGIC, ModelFormatError, load_network, save_network
 from fenet.nn import AvgPool2D, Conv2D, Dense, Flatten, Network, ReLU
@@ -128,3 +129,73 @@ def test_bad_header_error_names_the_file(tmp_path, layers, num_classes):
                  np.zeros(2 * 4 + 2).astype("<f8").tobytes())
     with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: bad header"):
         load_network(path)
+
+
+# ---------------------------------------------------------------- header fuzz
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 20) | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=True) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    """Every key/index path into a JSON header, parents before children."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutate_header(header, draw):
+    paths = list(_paths(header))
+    if not paths:
+        return
+    path = paths[draw(st.integers(0, len(paths) - 1))]
+    parent = header
+    for key in path[:-1]:
+        parent = parent[key]
+    op = draw(st.sampled_from(["set", "set", "delete", "add"]))
+    if op == "delete":
+        del parent[path[-1]]
+    elif op == "add" and isinstance(parent, dict):
+        parent[draw(st.sampled_from(["kind", "pool", "stride", "kernel", "weight", "x"]))] = draw(_JSON)
+    else:
+        parent[path[-1]] = draw(_JSON)
+
+
+@st.composite
+def mutated_models(draw):
+    """A saved model's bytes with header fields changed, removed or added, then maybe cut short."""
+    header = {
+        "input_shape": [4, 4, 1],
+        "num_classes": 3,
+        "layers": [l.header() for l in (Conv2D(2, 3, padding="same"), ReLU(), AvgPool2D(2),
+                                        Flatten(), Dense(3))],
+    }
+    for _ in range(draw(st.integers(0, 3))):
+        _mutate_header(header, draw)
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    n_params = 2 * 1 * 3 * 3 + 2 + 3 * 8 + 3
+    blob = MAGIC + len(text).to_bytes(4, "big") + text + np.arange(n_params, dtype="<f8").tobytes()
+    if draw(st.integers(0, 3)) == 3:  # the simplest draw, 0, keeps the blob whole
+        blob = blob[: draw(st.integers(0, len(blob)))]
+    if draw(st.integers(0, 9)) == 9 and len(blob) >= len(MAGIC) + 4:
+        hlen = draw(st.integers(0, 2**32 - 1)).to_bytes(4, "big")
+        blob = blob[: len(MAGIC)] + hlen + blob[len(MAGIC) + 4:]
+    return blob
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_models())
+def test_mutated_header_fails_as_a_model_format_error_naming_the_file(tmp_path, blob):
+    path = tmp_path / "fuzz.fenet"
+    path.write_bytes(blob)
+    try:
+        net = load_network(path)
+    except ModelFormatError as e:
+        assert str(e).startswith(f"{path}: ")
+    else:
+        assert isinstance(net, Network)

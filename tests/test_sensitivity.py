@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fenet.data import synth_shapes
-from fenet.filters import default_filters, filter_spec
+from fenet.filters import apply, default_filters, filter_spec
 from fenet.sensitivity import (
     CorrelationMatrix,
     NoiseConfig,
@@ -117,6 +117,42 @@ def test_sampling_deterministic():
     np.testing.assert_array_equal(
         np.stack([s.values for s in a]), np.stack([s.values for s in b])
     )
+
+
+def _sample_sensitivities_oracle(filter_bank, dataset, cfg):
+    """The per-sample loop sample_sensitivities replaced: one filter call per image."""
+    names = tuple(filter_bank)
+    ids = rng_from(cfg.rng_seed, 0x494D47).choice(len(dataset), size=cfg.num_images, replace=False)
+    samples = []
+    for image_id in sorted(int(i) for i in ids):
+        x = dataset.images[image_id]
+        base = [apply(spec, x) for spec in filter_bank.values()]
+        rng = noise_stream(cfg.rng_seed, image_id)
+        for noise_id in range(cfg.samples_per_image):
+            delta = draw_noise(rng, x.shape, cfg.epsilon_max)
+            perturbed = clamp01(x + delta)
+            values = np.array(
+                [np.linalg.norm(apply(spec, perturbed) - b) for spec, b in zip(filter_bank.values(), base)]
+            )
+            samples.append(SensitivitySample(image_id, noise_id, values, names))
+    return samples
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(8, 12), st.integers(0, 2**16), st.integers(1, 6), st.integers(1, 4),
+    st.floats(0.01, 0.5),
+)
+def test_batched_sampling_matches_per_sample_oracle(size, seed, num_images, per_image, eps):
+    ds = synth_shapes(2, size=size, seed=seed)
+    bank = dict(default_filters(), downsize=filter_spec("downsize", target=(size // 2, 5)))
+    cfg = NoiseConfig(epsilon_max=eps, samples_per_image=per_image, num_images=num_images, rng_seed=seed)
+    got = sample_sensitivities(bank, ds, cfg)
+    want = _sample_sensitivities_oracle(bank, ds, cfg)
+    assert [(s.image_id, s.noise_id, s.filter_names) for s in got] == [
+        (s.image_id, s.noise_id, s.filter_names) for s in want
+    ]
+    assert np.array_equal(np.stack([s.values for s in got]), np.stack([s.values for s in want]))
 
 
 def test_sampling_dataset_too_small():
