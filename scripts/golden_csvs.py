@@ -13,7 +13,13 @@ path. Run it at two commits and diff the outputs: a change that keeps
 every line keeps every result byte for byte. It imports fenet from the
 checkout it lives in, so a copy of the script hashes that copy's code.
 
+`--diff DIR_A DIR_B` runs nothing. It compares two `--keep` directories
+and, for each CSV whose hash differs, prints the largest absolute and
+relative difference over its numeric cells, so a change that alters float
+rounding shows how far each output moved.
+
     python3 scripts/golden_csvs.py [--only test09|desk] [--keep DIR]
+    python3 scripts/golden_csvs.py --diff DIR_A DIR_B
 """
 
 import argparse
@@ -62,11 +68,70 @@ def sha256(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def outputs(root, suffixes=(".csv", ".fenet")):
+    """Paths under `root` ending in one of `suffixes`, relative to it."""
+    found = []
+    for base, _, files in os.walk(root):
+        found += [os.path.relpath(os.path.join(base, f), root) for f in files if f.endswith(suffixes)]
+    return sorted(found)
+
+
+def csv_cells(path):
+    """Rows of a CSV as lists of cells, without its `#` provenance lines."""
+    with open(path) as fh:
+        return [line.split(",") for line in fh.read().splitlines() if not line.startswith("#")]
+
+
+def cell_diff(a, b):
+    """(largest absolute, largest relative) numeric difference, or a reason they cannot be compared."""
+    rows_a, rows_b = csv_cells(a), csv_cells(b)
+    if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return "row or column counts differ"
+    max_abs = max_rel = 0.0
+    for row_a, row_b in zip(rows_a, rows_b):
+        for cell_a, cell_b in zip(row_a, row_b):
+            if cell_a == cell_b:
+                continue
+            try:
+                x, y = float(cell_a), float(cell_b)
+            except ValueError:
+                return f"text cell differs: {cell_a!r} vs {cell_b!r}"
+            d = abs(x - y)
+            if d:  # "0" and "0.0" differ as text only
+                max_abs = max(max_abs, d)
+                max_rel = max(max_rel, d / max(abs(x), abs(y)))
+    return max_abs, max_rel
+
+
+def diff_dirs(dir_a, dir_b) -> int:
+    """Print one line per CSV that differs between two --keep directories."""
+    csvs_a, csvs_b = outputs(dir_a, (".csv",)), outputs(dir_b, (".csv",))
+    for path in sorted(set(csvs_a) ^ set(csvs_b)):
+        print(f"{path}: only in {dir_a if path in csvs_a else dir_b}")
+    same = 0
+    for path in sorted(set(csvs_a) & set(csvs_b)):
+        a, b = os.path.join(dir_a, path), os.path.join(dir_b, path)
+        if sha256(a) == sha256(b):
+            same += 1
+            continue
+        moved = cell_diff(a, b)
+        if isinstance(moved, str):
+            print(f"{path}: {moved}")
+        else:
+            print(f"{path}: max abs diff {moved[0]:.3g}, max rel diff {moved[1]:.3g}")
+    print(f"{same} CSV(s) identical")
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--only", choices=("test09", "desk"), help="run one config only")
     parser.add_argument("--keep", help="run in this directory and keep the outputs")
+    parser.add_argument("--diff", nargs=2, metavar=("DIR_A", "DIR_B"),
+                        help="compare the CSVs of two --keep directories instead of running")
     args = parser.parse_args()
+    if args.diff:
+        return diff_dirs(*args.diff)
     with contextlib.ExitStack() as stack:
         work = args.keep or stack.enter_context(tempfile.TemporaryDirectory())
         os.makedirs(work, exist_ok=True)
@@ -82,10 +147,7 @@ def main() -> int:
                 rc = cli.main(argv)
             if rc:
                 return rc
-        found = []
-        for base, _, files in os.walk("."):
-            found += [os.path.join(base, f)[2:] for f in files if f.endswith((".csv", ".fenet"))]
-        for path in sorted(found):
+        for path in outputs("."):
             print(f"{sha256(path)}  {path}")
     return 0
 

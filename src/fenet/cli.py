@@ -10,6 +10,7 @@ byte-identical files. Epsilon fields are integers in 1/255 units.
 
 import argparse
 import copy
+import functools
 import hashlib
 import json
 import os
@@ -154,13 +155,19 @@ def _expect(cond, message):
         raise ConfigError(message)
 
 
+def _expect_int(value, minimum, field, note=""):
+    # bool is an int subclass, but JSON true is no integer setting
+    _expect(isinstance(value, int) and not isinstance(value, bool) and value >= minimum,
+            f"{field}: must be an integer >= {minimum}{note}")
+
+
 def _validate(cfg: dict) -> None:
     dcfg = cfg["dataset"]
     _expect(dcfg["kind"] in ("synth", "cifar10"), f"dataset.kind: unknown kind {dcfg['kind']!r}")
     if dcfg["kind"] == "synth":
-        _expect(int(dcfg["num_per_class"]) >= 1, "dataset.num_per_class: must be >= 1")
-        _expect(int(dcfg["test_per_class"]) >= 1, "dataset.test_per_class: must be >= 1")
-        _expect(int(dcfg["size"]) >= 8, "dataset.size: must be >= 8")
+        _expect_int(dcfg["num_per_class"], 1, "dataset.num_per_class")
+        _expect_int(dcfg["test_per_class"], 1, "dataset.test_per_class")
+        _expect_int(dcfg["size"], 8, "dataset.size")
     known = set(flt.default_filters())
     for i, name in enumerate(cfg["filters"]):
         _expect(name in known, f"filters[{i}]: unknown filter {name!r}")
@@ -168,15 +175,14 @@ def _validate(cfg: dict) -> None:
     for name in cfg["filter_params"]:
         _expect(name in known, f"filter_params.{name}: unknown filter")
     for i, eps in enumerate(cfg["attack"]["epsilons"]):
-        _expect(isinstance(eps, int) and eps >= 0, f"attack.epsilons[{i}]: must be an integer >= 0 (1/255 units)")
+        _expect_int(eps, 0, f"attack.epsilons[{i}]", " (1/255 units)")
     _expect(len(cfg["attack"]["epsilons"]) >= 1, "attack.epsilons: must be non-empty")
     _expect(cfg["attack"]["source"] in cfg["filters"], "attack.source: must be one of the listed filters")
     _expect(cfg["attack"]["bpda"] in flt.BPDA_MODES,
             f"attack.bpda: must be identity or adjoint, got {cfg['attack']['bpda']!r}")
     ncfg = cfg["noise"]
-    _expect(isinstance(ncfg["epsilon_max"], int) and ncfg["epsilon_max"] >= 1,
-            "noise.epsilon_max: must be an integer >= 1 (1/255 units)")
-    _expect(int(ncfg["select_k"]) >= 1, "noise.select_k: must be >= 1")
+    _expect_int(ncfg["epsilon_max"], 1, "noise.epsilon_max", " (1/255 units)")
+    _expect_int(ncfg["select_k"], 1, "noise.select_k")
     ecfg = cfg["ensemble"]
     _expect(ecfg["plan"] is None or ecfg["plan"] in ensemble.DEFAULT_ENSEMBLES,
             f"ensemble.plan: unknown plan {ecfg['plan']!r}")
@@ -187,7 +193,8 @@ def _validate(cfg: dict) -> None:
             _expect(isinstance(pair, (list, tuple)) and len(pair) == 2,
                     f"ensemble.members[{i}]: expected [display_name, filter_name]")
             _expect(pair[1] in known, f"ensemble.members[{i}]: unknown filter {pair[1]!r}")
-    _expect(int(cfg["certify"]["num_inputs"]) >= 1, "certify.num_inputs: must be >= 1")
+    _expect_int(cfg["certify"]["num_inputs"], 1, "certify.num_inputs")
+    _expect_int(cfg["certify"]["power_seed"], 0, "certify.power_seed")
     # Dataclass constructors own the numeric domain checks.
     _train_config(cfg)
     for eps in cfg["attack"]["epsilons"]:
@@ -417,7 +424,7 @@ def cmd_correlate(cfg) -> list:
     except ValueError as e:
         raise ConfigError(f"noise: {e}") from None
     matrix = sensitivity.pearson_matrix(samples)
-    selected = sensitivity.select_min_correlated(matrix, k=int(cfg["noise"]["select_k"]))
+    selected = sensitivity.select_min_correlated(matrix, k=cfg["noise"]["select_k"])
     print("selected minimal subset:", ", ".join(selected))
     return _write_outputs(cfg, "correlate", {"": sensitivity.correlation_csv(matrix)})
 
@@ -477,10 +484,10 @@ def cmd_certify(cfg) -> list:
     test_ds = _dataset(cfg, "test")
     bank = _bank(cfg, names=[f for _, f in _members(cfg)])
     subs = _ensemble_submodels(cfg, bank)
-    n = int(cfg["certify"]["num_inputs"])
+    n = cfg["certify"]["num_inputs"]
     if n > len(test_ds.images):
         raise ConfigError(f"certify.num_inputs: dataset has only {len(test_ds.images)} images")
-    power_seed = int(cfg["certify"]["power_seed"])
+    power_seed = cfg["certify"]["power_seed"]
     lips = {sm.name: sm.net.lipschitz_upper_bound(seed=power_seed) for sm in subs}
     cert_rows = ["input_id,submodel,margin,lipschitz,radius"]
     pair_rows = ["input_id,submodel_a,submodel_b,bound"]
@@ -509,7 +516,9 @@ COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--set", action="append", default=[], dest="overrides",
@@ -526,7 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args)
         paths = COMMANDS[args.command](cfg)

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .util import rng_from
 
@@ -211,14 +212,17 @@ class Conv2D(Layer):
         return x
 
     def _linear(self, xp):
+        # One 2-D product per tap over all N*oh*ow output cells: a matmul on
+        # the 4-D slice would make one BLAS call per image row.
+        n, c = xp.shape[0], xp.shape[3]
         oh, ow, _ = self.out_shape
         s = self.stride
-        out = np.zeros((xp.shape[0], oh, ow, self.out_channels))
+        out = np.zeros((n * oh * ow, self.out_channels))
         for i in range(self.kh):
             for j in range(self.kw):
                 sl = xp[:, i : i + s * oh : s, j : j + s * ow : s, :]
-                out += sl @ self.weight[:, :, i, j].T
-        return out
+                out += sl.reshape(-1, c) @ self.weight[:, :, i, j].T
+        return out.reshape(n, oh, ow, self.out_channels)
 
     def forward(self, x):
         xp = self._pad(x)
@@ -228,10 +232,14 @@ class Conv2D(Layer):
         oh, ow, _ = self.out_shape
         s = self.stride
         pt, pb, pl, pr = self._pads
+        tap_shape = (xp_shape[0], oh, ow, xp_shape[3])
+        g2 = gy.reshape(-1, self.out_channels)
         gxp = np.zeros(xp_shape)
         for i in range(self.kh):
             for j in range(self.kw):
-                gxp[:, i : i + s * oh : s, j : j + s * ow : s, :] += gy @ self.weight[:, :, i, j]
+                gxp[:, i : i + s * oh : s, j : j + s * ow : s, :] += (
+                    g2 @ self.weight[:, :, i, j]
+                ).reshape(tap_shape)
         h, w = self.in_shape[:2]
         return gxp[:, pt : pt + h, pl : pl + w, :]
 
@@ -251,13 +259,24 @@ class Conv2D(Layer):
 
     def lipschitz_bound(self, rng):
         # Spectral norm of the conv operator itself, not of the flattened kernel.
+        # Row r of `idx` lists the flat input cells under output cell r's
+        # window in (c, kh, kw) order, the order of the kernel's columns;
+        # padding cells point at index n, a zero appended to the input.
+        h, w, c = self.in_shape
+        oh, ow, _ = self.out_shape
+        pt, pb, pl, pr = self._pads
+        s, n = self.stride, h * w * c
+        cells = np.pad(np.arange(n).reshape(h, w, c), ((pt, pb), (pl, pr), (0, 0)),
+                       constant_values=n)
+        windows = sliding_window_view(cells, (self.kh, self.kw), axis=(0, 1))
+        idx = windows[: s * oh : s, : s * ow : s].reshape(oh * ow, -1)
+        wm = self.weight.reshape(self.out_channels, -1)
+
         def apply_fn(v):
-            return self._linear(self._pad(v[None]))[0]
+            return np.append(v.ravel(), 0.0)[idx] @ wm.T
 
         def adjoint_fn(u):
-            h, w, c = self.in_shape
-            pt, pb, pl, pr = self._pads
-            return self._input_grad(u[None], (1, h + pt + pb, w + pl + pr, c))[0]
+            return np.bincount(idx.ravel(), weights=(u @ wm).ravel(), minlength=n + 1)[:n]
 
         return power_iteration(apply_fn, adjoint_fn, self.in_shape, rng)
 

@@ -203,6 +203,33 @@ def test_bpda_off_is_a_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "field, minimum",
+    [
+        ("certify.num_inputs", 1),
+        ("certify.power_seed", 0),
+        ("noise.select_k", 1),
+        ("dataset.num_per_class", 1),
+        ("dataset.test_per_class", 1),
+        ("dataset.size", 8),
+    ],
+)
+@pytest.mark.parametrize("value", ["x", "null", "1.5", "true", "-1"])
+def test_integer_field_rejects_non_integers_at_config_load(tmp_path, capsys, field, minimum, value):
+    rc = run_cli("train", tmp_path, "--set", f"{field}={value}")
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {field}: must be an integer >= {minimum}\n"
+    assert not (tmp_path / "models").exists()
+
+
+def test_set_override_does_not_leak_into_the_next_call(tmp_path, capsys):
+    assert run_cli("attack", tmp_path, "--set", "attack.steps=0") == 2
+    assert "config error: attack: " in capsys.readouterr().err
+    # no models exist, so a clean config gets past load and fails on them
+    assert run_cli("attack", tmp_path) == 2
+    assert "missing model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "entry, message",
     [
         ('{"kind":"Dense","out_features":-1}', "out_features must be positive"),

@@ -50,6 +50,40 @@ def naive_conv2d_same(kernel, bias, x):
     return out
 
 
+def tap_loop_linear(conv, xp, weight):
+    """Conv2D's linear part as one matmul per tap on the 4-D strided slice."""
+    oh, ow, oc = conv.out_shape
+    s = conv.stride
+    out = np.zeros((xp.shape[0], oh, ow, oc))
+    for i in range(conv.kh):
+        for j in range(conv.kw):
+            out += xp[:, i : i + s * oh : s, j : j + s * ow : s, :] @ weight[:, :, i, j].T
+    return out
+
+
+def tap_loop_input_grad(conv, gy, weight):
+    """Adjoint of `tap_loop_linear`: scatter each tap's product, then crop the padding."""
+    oh, ow, _ = conv.out_shape
+    h, w, c = conv.in_shape
+    pt, pb, pl, pr = conv._pads
+    s = conv.stride
+    gxp = np.zeros((gy.shape[0], h + pt + pb, w + pl + pr, c))
+    for i in range(conv.kh):
+        for j in range(conv.kw):
+            gxp[:, i : i + s * oh : s, j : j + s * ow : s, :] += gy @ weight[:, :, i, j]
+    return gxp[:, pt : pt + h, pl : pl + w, :]
+
+
+def assert_sum_close(got, want, scale, rtol=1e-12):
+    """|got - want| within rtol of `scale`, the same sum taken over absolute values.
+
+    A reordered floating-point sum moves by a few ulps of its summands'
+    magnitude, not of its own value, which can cancel to near zero.
+    """
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= rtol * scale)
+
+
 def linear_op_matrix(apply_fn, in_shape, out_shape):
     """Materialize a linear map as an explicit matrix, one basis vector at a time."""
     m, n = int(np.prod(out_shape)), int(np.prod(in_shape))
@@ -436,6 +470,41 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
 
 
+# ---------------------------------------------------------------- Conv2D
+
+@settings(deadline=None, max_examples=300)
+@given(
+    batch=st.integers(0, 5), h=st.integers(1, 12), w=st.integers(1, 12), c=st.integers(1, 4),
+    out=st.integers(1, 8), kh=st.integers(1, 5), kw=st.integers(1, 5), stride=st.integers(1, 3),
+    padding=st.sampled_from(["same", "valid"]), seed=st.integers(0, 2**32 - 1),
+)
+def test_conv_matches_tap_loop_oracle(batch, h, w, c, out, kh, kw, stride, padding, seed):
+    if padding == "valid":
+        kh, kw = min(kh, h), min(kw, w)
+    conv = Conv2D(out, (kh, kw), stride=stride, padding=padding)
+    conv.bind((h, w, c))
+    rng = rng_from(seed)
+    conv.init_params(rng)
+    conv.bias = rng.normal(size=out)
+    x = rng.normal(size=(batch, h, w, c))
+    y, xp = conv.forward(x)
+    aw, axp = np.abs(conv.weight), np.abs(xp)
+    assert_sum_close(y, tap_loop_linear(conv, xp, conv.weight) + conv.bias,
+                     tap_loop_linear(conv, axp, aw) + np.abs(conv.bias))
+
+    gy = rng.normal(size=y.shape)
+    gx, (gw, gb) = conv.backward(xp, gy)
+    assert_sum_close(gx, tap_loop_input_grad(conv, gy, conv.weight),
+                     tap_loop_input_grad(conv, np.abs(gy), aw))
+    s = conv.stride
+    oh, ow, _ = conv.out_shape
+    for i in range(kh):
+        for j in range(kw):
+            sl = xp[:, i : i + s * oh : s, j : j + s * ow : s, :]
+            assert np.array_equal(gw[:, :, i, j], np.tensordot(gy, sl, axes=([0, 1, 2], [0, 1, 2])))
+    assert np.array_equal(gb, gy.sum(axis=(0, 1, 2)))
+
+
 # ---------------------------------------------------------------- Lipschitz
 
 def test_lipschitz_scaled_identity():
@@ -464,6 +533,42 @@ def test_conv_spectral_norm_matches_explicit_matrix():
     mat = linear_op_matrix(lambda v: conv._linear(conv._pad(v[None]))[0], (4, 4, 1), (4, 4, 2))
     want = np.linalg.svd(mat, compute_uv=False)[0]
     assert conv.lipschitz_bound(rng_from(74)) == pytest.approx(want, rel=1e-4)
+
+
+@pytest.mark.parametrize(
+    "stride, padding, in_shape",
+    [(2, "same", (5, 5, 2)), (2, "same", (6, 3, 1)), (1, "valid", (5, 4, 2)), (2, "valid", (6, 5, 1))],
+)
+def test_conv_strided_and_valid_norm_matches_explicit_matrix(stride, padding, in_shape):
+    conv = Conv2D(3, 3, stride=stride, padding=padding)
+    conv.bind(in_shape)
+    conv.init_params(rng_from(77))
+    mat = linear_op_matrix(lambda v: tap_loop_linear(conv, conv._pad(v[None]), conv.weight)[0],
+                           in_shape, conv.out_shape)
+    want = np.linalg.svd(mat, compute_uv=False)[0]
+    assert conv.lipschitz_bound(rng_from(78)) == pytest.approx(want, rel=1e-4)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    h=st.integers(1, 8), w=st.integers(1, 8), c=st.integers(1, 3), out=st.integers(1, 4),
+    kh=st.integers(1, 4), kw=st.integers(1, 4), stride=st.integers(1, 3),
+    padding=st.sampled_from(["same", "valid"]), seed=st.integers(0, 2**32 - 1),
+)
+def test_conv_lipschitz_matches_tap_loop_power_iteration(h, w, c, out, kh, kw, stride, padding, seed):
+    if padding == "valid":
+        kh, kw = min(kh, h), min(kw, w)
+    conv = Conv2D(out, (kh, kw), stride=stride, padding=padding)
+    conv.bind((h, w, c))
+    conv.init_params(rng_from(seed))
+    want = power_iteration(
+        lambda v: tap_loop_linear(conv, conv._pad(v[None]), conv.weight)[0],
+        lambda u: tap_loop_input_grad(conv, u[None], conv.weight)[0],
+        conv.in_shape,
+        rng_from(seed, 1),
+    )
+    # a rounding change can move the stop by one round, so compare at the stopping tolerance
+    assert conv.lipschitz_bound(rng_from(seed, 1)) == pytest.approx(want, rel=1e-6)
 
 
 def test_avgpool_norm_matches_explicit_matrix():
