@@ -473,9 +473,11 @@ def cmd_ensemble_eval(cfg) -> list:
         acfg = _attack_config(cfg, eps)
         results = attacks.run_attack_batch(score_ens, test_ds.images, test_ds.labels, acfg, image_ids=ids)
         adv = np.stack([r.adversarial for r in results])
-        vote = float(np.mean(vote_ens.classify_batch(adv) == test_ds.labels))
-        score = float(np.mean(score_ens.classify_batch(adv) == test_ds.labels))
-        member = [float(np.mean(sm.classify_batch(adv) == test_ds.labels)) for sm in subs]
+        # one filter and forward pass per member serves all three readings
+        z = vote_ens.member_logits(adv)
+        vote = float(np.mean(vote_ens.classify_logits(z) == test_ds.labels))
+        score = float(np.mean(score_ens.classify_logits(z) == test_ds.labels))
+        member = [float(np.mean(np.argmax(zm, axis=1) == test_ds.labels)) for zm in z]
         rows.append(f"{eps},{vote:.6f},{score:.6f}," + ",".join(f"{m:.6f}" for m in member))
     return _write_outputs(cfg, "ensemble-eval", {"": "\n".join(rows) + "\n"})
 

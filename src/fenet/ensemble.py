@@ -94,15 +94,23 @@ class Ensemble:
             total = total + sm.grad_input_batch(xb, labels)
         return total
 
-    def classify_batch(self, xb):
+    def member_logits(self, xb):
+        """(M, N, K) logits: each member's forward pass over the batch, in member order."""
         xb = np.asarray(xb, dtype=np.float64)
-        z = np.stack([sm.forward_batch(xb) for sm in self.submodels])
+        return np.stack([sm.forward_batch(xb) for sm in self.submodels])
+
+    def classify_logits(self, z):
+        """Labels from an (M, N, K) member-logit stack, by this ensemble's mode.
+
+        Vote takes the most common member label, ties broken by the highest
+        mean softmax; score takes the highest mean softmax.
+        """
         labels = np.argmax(z, axis=2)
         mean_p = _softmax(z).mean(axis=0)
         if self.mode == "score":
             return np.argmax(mean_p, axis=1)
-        out = np.empty(xb.shape[0], dtype=np.int64)
-        for i in range(xb.shape[0]):
+        out = np.empty(z.shape[1], dtype=np.int64)
+        for i in range(z.shape[1]):
             counts = np.bincount(labels[:, i], minlength=self.num_classes)
             tied = np.flatnonzero(counts == counts.max())
             if len(tied) == 1:
@@ -110,6 +118,9 @@ class Ensemble:
             else:
                 out[i] = tied[np.argmax(mean_p[i, tied])]
         return out
+
+    def classify_batch(self, xb):
+        return self.classify_logits(self.member_logits(xb))
 
 
 def margin(net, z) -> float:

@@ -5,12 +5,15 @@ luma), octree (color quantization), lowpass, highpass (Gaussian-masked DFT).
 Images are (H, W, C) float arrays in [0, 1] with C of 1 or 3. Filters are
 batch-first: each one works on the trailing three axes, so it takes one
 image or an (N, H, W, C) batch, and a batch gives the same bits as its
-images one by one. Every filter is a pure function; `bpda_backward`
-supplies the gradient substitution used when attacking through the
-non-differentiable ones.
+images one by one. The octree and the frequency filters, the costly
+ones, handle a batch in chunks of at most `_CHUNK_PIXELS` pixels: one
+quantization or FFT pair per chunk rather than per image. Every filter is
+a pure function; `bpda_backward` supplies the gradient substitution used
+when attacking through the non-differentiable ones.
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,6 +139,27 @@ def apply_batch(spec: FilterSpec, imgs) -> np.ndarray:
     return apply(spec, imgs)
 
 
+# Octree and frequency filters work through a batch this many pixels at a
+# time: enough 16x16 images per numpy call to amortise its overhead, while
+# a chunk's temporaries stay under a megabyte (about 150 bytes per pixel
+# for the octree or the FFT pair, above the output).
+_CHUNK_PIXELS = 4096
+
+
+def _by_chunks(fn, img) -> np.ndarray:
+    """fn over (n, H, W, C) slices of one image or a batch: at most _CHUNK_PIXELS pixels, or one image."""
+    h, w, c = img.shape[-3:]
+    n = math.prod(img.shape[:-3])
+    batch = img.reshape(n, h, w, c)
+    out = np.empty(batch.shape)
+    if out.size == 0:  # nothing to filter, and the FFT rejects empty axes
+        return out.reshape(img.shape)
+    step = max(1, _CHUNK_PIXELS // (h * w))
+    for s in range(0, n, step):
+        out[s:s + step] = fn(batch[s:s + step])
+    return out.reshape(img.shape)
+
+
 # ------------------------------------------------------------- elementwise
 
 def discretize(img) -> np.ndarray:
@@ -238,9 +262,12 @@ def octree_quantize(img, max_colors: int = 16, depth: int = 7) -> np.ndarray:
     color is the rounded mean of the pixels it absorbed, which lands inside
     the bucket's own cell, so requantizing a quantized image is a no-op.
 
-    One pass of the loop folds a whole level: sibling groups are taken in
-    the order of their smallest member, for as long as more than
-    `max_colors` buckets remain before the group.
+    A pass over a level whose parents number more than `max_colors` folds
+    every sibling group, so each image first folds straight up to the
+    shallowest level where it has more than `max_colors` cells. One ranked
+    pass then ends it: sibling groups are taken in the order of their
+    smallest member, for as long as more than `max_colors` cells remain
+    before the group.
     """
     img = np.asarray(img, dtype=np.float64)
     if img.shape[-1] != 3:
@@ -249,51 +276,74 @@ def octree_quantize(img, max_colors: int = 16, depth: int = 7) -> np.ndarray:
         raise ValueError(f"max_colors must be >= 2, got {max_colors}")
     if not 1 <= depth <= 8:
         raise ValueError(f"depth must be in [1, 8], got {depth}")
-    out = np.empty(img.shape)
-    for i in np.ndindex(img.shape[:-3]):
-        out[i] = _octree_one(img[i], max_colors, depth)
-    return out
+    return _by_chunks(functools.partial(_octree_chunk, max_colors=max_colors, depth=depth), img)
 
 
-def _octree_one(img, max_colors, depth):
-    h, w, _ = img.shape
-    codes = round_half_up(clamp01(img) * 255.0).astype(np.int64).reshape(-1, 3)
+def _run_starts(owner, key) -> np.ndarray:
+    """True where a run of equal (owner, key) pairs begins."""
+    start = np.ones(len(key), dtype=bool)
+    start[1:] = (key[1:] != key[:-1]) | (owner[1:] != owner[:-1])
+    return start
+
+
+def _octree_chunk(imgs, max_colors, depth):
+    n, h, w, _ = imgs.shape
+    codes = round_half_up(clamp01(imgs) * 255.0).astype(np.int64).reshape(n * h * w, 3)
     # Morton code: channel bits interleaved r, g, b from the top bit down, so
     # the cell at level l is the top 3*l bits, and in sorted cells every
     # sibling group is one contiguous run
     spread = _SPREAD3[codes]
     morton = spread[:, 0] << 2 | spread[:, 1] << 1 | spread[:, 2]
-    # leaves at the working depth; colors differing below `depth` share a
-    # cell. A cell's first pixel orders it as its first-appearing color would.
+    morton >>= 3 * (8 - depth)
+    # leaves: each image's cells at the working depth, sorted by image index
+    # (above bit 24), then Morton code; colors differing below `depth` share
+    # a cell. A cell's first pixel orders it as its first-appearing color would.
     keys, seq, cell, count = np.unique(
-        morton >> 3 * (8 - depth), return_index=True, return_inverse=True, return_counts=True
+        np.repeat(np.arange(n, dtype=np.int64) << 24, h * w) | morton,
+        return_index=True, return_inverse=True, return_counts=True,
     )
     sums = np.zeros((len(keys), 3), dtype=np.int64)
     np.add.at(sums, cell, codes)
+    owner, keys = keys >> 24, keys & 0xFFFFFF
 
-    while len(keys) > max_colors:
-        parents, gstart, group = np.unique(keys >> 3, return_index=True, return_inverse=True)
-        rank = np.empty(len(keys), dtype=np.int64)
-        rank[np.lexsort((seq, count))] = np.arange(len(keys))
-        gorder = np.argsort(np.minimum.reduceat(rank, gstart))
-        # a group folds while more than max_colors cells remain before it,
-        # and its fold removes all but one of its cells
-        removed = (np.bincount(group) - 1)[gorder]
-        taken = gorder[len(keys) - (np.cumsum(removed) - removed) > max_colors]
-        gsums = np.add.reduceat(sums, gstart)
-        gcount = np.add.reduceat(count, gstart)
-        if len(taken) < len(gstart):
-            # a partial pass ends the loop: fold only the taken groups
-            folded = np.isin(group, taken)
-            sums = np.where(folded[:, None], gsums[group], sums)
-            count = np.where(folded, gcount[group], count)
+    # fold each image `up` levels: the most that leave it over max_colors cells
+    up = np.zeros(n, dtype=np.int64)
+    for u in range(1, depth):
+        many = np.bincount(owner[_run_starts(owner, keys >> 3 * u)], minlength=n) > max_colors
+        if not many.any():
             break
-        keys, sums, count = parents, gsums, gcount
-        seq = np.minimum.reduceat(seq, gstart)
-        cell = group[cell]
+        up[many] = u
+    shift = 3 * up[owner]
+    start = _run_starts(owner, keys >> shift)
+    kstart = np.flatnonzero(start)
+    keys, owner = keys[kstart] >> shift[kstart], owner[kstart]
+    sums, count = np.add.reduceat(sums, kstart), np.add.reduceat(count, kstart)
+    seq = np.minimum.reduceat(seq, kstart)
+    cell = (np.cumsum(start) - 1)[cell]
+
+    # the ranked pass: a group folds while more than max_colors cells of its
+    # image remain before it, and its fold removes all but one of its cells
+    start = _run_starts(owner, keys >> 3)
+    gstart = np.flatnonzero(start)
+    gimg = owner[gstart]
+    # cells ranked by (image, count, seq), groups by their smallest rank
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[np.argsort((owner * (h * w + 1) + count) * (n * h * w) + seq)] = np.arange(len(keys))
+    gorder = np.argsort(np.minimum.reduceat(rank, gstart))
+    cells = np.bincount(owner, minlength=n)
+    per_img = cells - np.bincount(gimg, minlength=n)  # all an image's groups remove
+    ro = (np.diff(gstart, append=len(keys)) - 1)[gorder]
+    left = (cells + np.cumsum(per_img) - per_img)[gimg[gorder]] - (np.cumsum(ro) - ro)
+    taken = np.zeros(len(gstart), dtype=bool)
+    taken[gorder[left > max_colors]] = True
+    # a taken group becomes one cell; every other cell stays as it is
+    keep = start | ~taken[np.cumsum(start) - 1]
+    kstart = np.flatnonzero(keep)
+    sums, count = np.add.reduceat(sums, kstart), np.add.reduceat(count, kstart)
+    cell = (np.cumsum(keep) - 1)[cell]
 
     palette = (2 * sums + count[:, None]) // (2 * count[:, None])
-    return palette[cell].reshape(h, w, 3) / 255.0
+    return palette[cell].reshape(n, h, w, 3) / 255.0
 
 
 # ------------------------------------------------------------- frequency domain
@@ -342,12 +392,15 @@ def frequency_filter(img, sigma: float, mode: str, clamp: bool = True) -> np.nda
         raise ValueError(f"mode must be 'low' or 'high', got {mode!r}")
     img = np.asarray(img, dtype=np.float64)
     mask = _spectral_mask(*img.shape[-3:-1], sigma, mode)
-    # image by image: one whole-batch spectrum would hold N complex copies
-    out = np.empty(img.shape)
-    for i in np.ndindex(img.shape[:-3]):
-        spectrum = np.fft.fft2(img[i], axes=(0, 1))
+
+    def masked(chunk):
+        spectrum = np.fft.fft2(chunk, axes=(1, 2))
         spectrum *= mask
-        out[i] = np.fft.ifft2(spectrum, axes=(0, 1)).real
+        return np.fft.ifft2(spectrum, axes=(1, 2)).real
+
+    # one FFT pair per chunk of images: a whole-batch spectrum would hold
+    # complex copies of every image at once
+    out = _by_chunks(masked, img)
     return np.clip(out, 0.0, 1.0, out=out) if clamp else out
 
 

@@ -145,6 +145,24 @@ def test_classify_batch_matches_predict():
     assert [predict(e, x) for x in xb] == list(batch)
 
 
+def test_member_logits_serve_vote_score_and_members():
+    shape = (5, 5, 3)
+    arch = [{"kind": "Flatten"}, {"kind": "Dense", "out_features": None}]
+    subs = [
+        SubModel(kind, flt.filter_spec(kind), nn.build_network(arch, shape, 4, seed=i))
+        for i, kind in enumerate(("identity", "discretize", "lowpass", "octree"))
+    ]
+    xb = np.random.default_rng(8).uniform(size=(6,) + shape)
+    z = Ensemble(subs).member_logits(xb)
+    assert z.shape == (4, 6, 4)
+    for sm, zm in zip(subs, z):
+        assert np.array_equal(zm, sm.forward_batch(xb))
+        assert np.array_equal(np.argmax(zm, axis=1), sm.classify_batch(xb))
+    for mode in ("vote", "score"):
+        e = Ensemble(subs, mode=mode)
+        assert np.array_equal(e.classify_logits(z), e.classify_batch(xb))
+
+
 @pytest.mark.parametrize("mode", ["vote", "score"])
 def test_empty_batch_classifies_to_empty_int64(mode):
     e = Ensemble([bias_sub("a", (1, 0, 0)), bias_sub("b", (0, 1, 0))], mode=mode)

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fenet.filters import (
+    _CHUNK_PIXELS,
     KINDS,
     FilterSpec,
     apply,
@@ -551,11 +554,18 @@ def _bilinear_weights_oracle(src, dst):
 
 
 def _downsize_oracle(img, th, tw):
+    # the dense product sum_hw wy[i, h] * wx[j, w] * img[h, w], added term by
+    # term in (h, w) order. einsum leaves its order to numpy: for a 2-row
+    # source, one channel and a 1x1 or 1x2 target it sums each row first.
     h, w = img.shape[:2]
     if (th, tw) == (h, w):
         return img.copy()
     wy, wx = _bilinear_weights_oracle(h, th), _bilinear_weights_oracle(w, tw)
-    return np.einsum("ih,jw,hwc->ijc", wy, wx, img)
+    out = np.zeros((th, tw, img.shape[2]))
+    for y in range(h):
+        for x in range(w):
+            out += (wy[:, y, None] * wx[:, x])[..., None] * img[y, x]
+    return out
 
 
 def _frequency_oracle(img, sigma, mode, clamp=True):
@@ -643,6 +653,14 @@ def test_batched_filter_matches_per_image_oracle(case):
     assert np.array_equal(apply(spec, batch[0]), want[0])
 
 
+def test_downsize_two_rows_to_one_adds_in_hw_order():
+    # a 2x3 one-channel image to 1x2: the case where einsum sums rows first
+    img = np.array([[0.63696169, 0.26978671, 0.04097352],
+                    [0.01652764, 0.81327024, 0.91275558]])[..., None]
+    spec = filter_spec("downsize", target=(1, 2))
+    assert np.array_equal(apply_batch(spec, img[None])[0], _apply_oracle(spec, img))
+
+
 @settings(max_examples=200, deadline=None)
 @given(filter_cases(max_images=1))
 def test_apply_on_an_image_equals_apply_batch_of_one(case):
@@ -671,3 +689,75 @@ def test_filters_leave_their_input_unchanged():
         apply_batch(spec, batch)
         bpda_backward(spec, apply_batch(spec, batch), batch.shape[1:], mode="adjoint")
         assert np.array_equal(batch, keep), name
+
+
+# ---------------------------------------------------------------- chunk boundaries
+# Octree and frequency filters work through a batch _CHUNK_PIXELS pixels at a
+# time. These batches fill several chunks and end part way into one, or hold
+# images larger than the whole budget, and must still match the oracles.
+
+_SIDE = math.isqrt(_CHUNK_PIXELS) + 6  # one image alone is over the budget
+CHUNKED_SHAPES = [
+    (2 * (_CHUNK_PIXELS // (16 * 16)) + 3, 16, 16),
+    (2 * (_CHUNK_PIXELS // (7 * 13)) + 1, 7, 13),
+    (3, _SIDE, _SIDE),
+]
+
+
+def _mixed_batch(seed, n, h, w, c=3):
+    """Images from one to many colors, so some finish early and others fold longer."""
+    rng = np.random.default_rng(seed)
+    out = np.empty((n, h, w, c))
+    for i in range(n):
+        colors = rng.choice([1, 3, 12, 40, h * w])
+        palette = rng.uniform(-0.2, 1.2, size=(colors, c))
+        out[i] = palette[rng.integers(colors, size=(h, w))]
+    return out
+
+
+@pytest.mark.parametrize("shape", CHUNKED_SHAPES)
+@pytest.mark.parametrize("k, depth", [(16, 7), (5, 3), (2, 8)])
+def test_octree_across_chunks_matches_dict_loop_oracle(shape, k, depth):
+    batch = _mixed_batch(sum(shape) + k, *shape)
+    assert batch.shape[0] * batch[0, ..., 0].size > _CHUNK_PIXELS
+    want = np.stack([_octree_oracle(img, k, depth) for img in batch])
+    assert np.array_equal(octree_quantize(batch, k, depth), want)
+    assert np.array_equal(octree_quantize(batch[None], k, depth)[0], want)
+
+
+@pytest.mark.parametrize("shape", CHUNKED_SHAPES)
+@pytest.mark.parametrize("kind", ["lowpass", "highpass"])
+def test_frequency_filters_across_chunks_match_per_image_oracle(shape, kind):
+    rng = np.random.default_rng(sum(shape))
+    batch = rng.uniform(-0.5, 1.5, size=shape + (3,))
+    spec = filter_spec(kind, sigma=3.0)
+    want = np.stack([_apply_oracle(spec, img) for img in batch])
+    assert np.array_equal(apply_batch(spec, batch), want)
+    gy = rng.normal(size=batch.shape)
+    want = np.stack([_bpda_oracle(spec, g, shape[1:] + (3,), "adjoint") for g in gy])
+    assert np.array_equal(bpda_backward(spec, gy, shape[1:] + (3,), mode="adjoint"), want)
+
+
+@pytest.mark.parametrize("name", ["octree16", "lowpass", "highpass"])
+def test_batch_of_zero_pixel_images(name):
+    spec = default_filters()[name]
+    batch = np.zeros((2, 0, 4, 3))
+    out = apply_batch(spec, batch)
+    assert out.shape == batch.shape
+    if spec.kind == "octree":
+        want = np.stack([_octree_oracle(img) for img in batch])
+        assert np.array_equal(octree_quantize(batch), want)
+    assert bpda_backward(spec, batch, batch.shape[1:], mode="adjoint").shape == batch.shape
+
+
+def test_images_folding_to_different_levels_keep_their_own_cells():
+    # image 0 is all black and never folds; image 1 folds up several levels.
+    # Image 0's only cell sits right before image 1's black cell, and their
+    # keys are equal at every level.
+    rng = np.random.default_rng(4)
+    batch = np.empty((2, 6, 6, 3))
+    batch[0] = 0.0
+    batch[1] = rng.integers(256, size=(6, 6, 3)) / 255
+    batch[1, 0, 0] = 0.0
+    want = np.stack([_octree_oracle(img, 2, 7) for img in batch])
+    assert np.array_equal(octree_quantize(batch, 2, 7), want)
