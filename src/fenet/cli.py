@@ -156,9 +156,12 @@ def _expect(cond, message):
 
 
 def _expect_int(value, minimum, field, note=""):
-    # bool is an int subclass, but JSON true is no integer setting
-    _expect(isinstance(value, int) and not isinstance(value, bool) and value >= minimum,
-            f"{field}: must be an integer >= {minimum}{note}")
+    # bool is an int subclass, but JSON true is no integer setting. A
+    # minimum of None leaves the range to the dataclass that owns the field.
+    at_least = "" if minimum is None else f" >= {minimum}"
+    _expect(isinstance(value, int) and not isinstance(value, bool)
+            and (minimum is None or value >= minimum),
+            f"{field}: must be an integer{at_least}{note}")
 
 
 def _validate(cfg: dict) -> None:
@@ -168,6 +171,10 @@ def _validate(cfg: dict) -> None:
         _expect_int(dcfg["num_per_class"], 1, "dataset.num_per_class")
         _expect_int(dcfg["test_per_class"], 1, "dataset.test_per_class")
         _expect_int(dcfg["size"], 8, "dataset.size")
+    if dcfg["subset"] is not None:
+        _expect_int(dcfg["subset"], 0, "dataset.subset")
+    for label, path in _SEED_FIELDS:
+        _expect_int(_lookup(cfg, path), 0, label)
     known = set(flt.default_filters())
     for i, name in enumerate(cfg["filters"]):
         _expect(name in known, f"filters[{i}]: unknown filter {name!r}")
@@ -183,19 +190,27 @@ def _validate(cfg: dict) -> None:
     ncfg = cfg["noise"]
     _expect_int(ncfg["epsilon_max"], 1, "noise.epsilon_max", " (1/255 units)")
     _expect_int(ncfg["select_k"], 1, "noise.select_k")
+    _expect(ncfg["select_k"] <= len(cfg["filters"]),
+            f"noise.select_k: must be <= the {len(cfg['filters'])} listed filters")
     ecfg = cfg["ensemble"]
     _expect(ecfg["plan"] is None or ecfg["plan"] in ensemble.DEFAULT_ENSEMBLES,
             f"ensemble.plan: unknown plan {ecfg['plan']!r}")
     _expect(ecfg["plan"] is not None or ecfg["members"],
             "ensemble.members: give members when plan is null")
     if ecfg["members"] is not None:
+        seen = []
         for i, pair in enumerate(ecfg["members"]):
             _expect(isinstance(pair, (list, tuple)) and len(pair) == 2,
                     f"ensemble.members[{i}]: expected [display_name, filter_name]")
+            # certify keys each member's Lipschitz bound by its display name
+            _expect(pair[0] not in seen, f"ensemble.members[{i}]: duplicate display name {pair[0]!r}")
+            seen.append(pair[0])
             _expect(pair[1] in known, f"ensemble.members[{i}]: unknown filter {pair[1]!r}")
     _expect_int(cfg["certify"]["num_inputs"], 1, "certify.num_inputs")
-    _expect_int(cfg["certify"]["power_seed"], 0, "certify.power_seed")
-    # Dataclass constructors own the numeric domain checks.
+    # Dataclass constructors own the numeric domain checks; the types are checked here.
+    for section, key in (("train", "epochs_per_rate"), ("train", "batch_size"), ("attack", "steps"),
+                         ("noise", "samples_per_image"), ("noise", "num_images")):
+        _expect_int(cfg[section][key], None, f"{section}.{key}")
     _train_config(cfg)
     for eps in cfg["attack"]["epsilons"]:
         _attack_config(cfg, eps)
@@ -207,9 +222,9 @@ def _train_config(cfg) -> nn.TrainConfig:
     try:
         return nn.TrainConfig(
             learning_rates=tuple(t["learning_rates"]),
-            epochs_per_rate=int(t["epochs_per_rate"]),
-            batch_size=int(t["batch_size"]),
-            rng_seed=int(t["rng_seed"]),
+            epochs_per_rate=t["epochs_per_rate"],
+            batch_size=t["batch_size"],
+            rng_seed=t["rng_seed"],
         )
     except (TypeError, ValueError) as e:
         raise ConfigError(f"train: {e}") from None
@@ -222,11 +237,11 @@ def _attack_config(cfg, eps_255: int) -> attacks.AttackConfig:
             method=a["method"],
             radius=eps_255 / 255,
             norm=a["norm"],
-            steps=int(a["steps"]),
+            steps=a["steps"],
             step_size=None if a["step_size"] is None else float(a["step_size"]),
             random_init=bool(a["random_init"]),
             loss_sign=a["loss_sign"],
-            rng_seed=int(a["rng_seed"]),
+            rng_seed=a["rng_seed"],
         )
     except (TypeError, ValueError) as e:
         raise ConfigError(f"attack: {e}") from None
@@ -237,9 +252,9 @@ def _noise_config(cfg) -> sensitivity.NoiseConfig:
     try:
         return sensitivity.NoiseConfig(
             epsilon_max=s["epsilon_max"] / 255,
-            samples_per_image=int(s["samples_per_image"]),
-            num_images=int(s["num_images"]),
-            rng_seed=int(s["rng_seed"]),
+            samples_per_image=s["samples_per_image"],
+            num_images=s["num_images"],
+            rng_seed=s["rng_seed"],
         )
     except (TypeError, ValueError) as e:
         raise ConfigError(f"noise: {e}") from None
@@ -297,7 +312,7 @@ def _dataset(cfg, split: str):
             raise ConfigError(f"dataset.dir: {e}") from None
         ds = train if split == "train" else test
     if dcfg["subset"] is not None:
-        ds = data.subset(ds, min(int(dcfg["subset"]), len(ds.images)), seed=dcfg["subset_seed"])
+        ds = data.subset(ds, min(dcfg["subset"], len(ds.images)), seed=dcfg["subset_seed"])
     return ds
 
 
@@ -351,15 +366,16 @@ _SEED_FIELDS = (
 )
 
 
+def _lookup(cfg, path):
+    return functools.reduce(dict.__getitem__, path, cfg)
+
+
 def _provenance_line(cfg) -> str:
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(blob.encode()).hexdigest()
     parts = [f"config sha256={digest}"]
     for label, path in _SEED_FIELDS:
-        node = cfg
-        for key in path:
-            node = node[key]
-        parts.append(f"{label}={node}")
+        parts.append(f"{label}={_lookup(cfg, path)}")
     return "# " + " ".join(parts) + "\n"
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import clamp01, rng_from, round_half_up
+from .util import clamp01, rng_from
 
 CIFAR10_CLASSES = (
     "airplane", "automobile", "bird", "cat", "deer",
@@ -74,22 +74,6 @@ def read_cifar_batch(path, size: int = 32):
     planes = raw[:, 1:].reshape(-1, 3, size, size)
     images = planes.transpose(0, 2, 3, 1).astype(np.float64) / 255.0
     return images, labels
-
-
-def write_cifar_batch(path, images, labels) -> None:
-    """Inverse of read_cifar_batch; pixel values snap back to their source bytes."""
-    images = np.asarray(images)
-    labels = np.asarray(labels)
-    n, h, w, c = images.shape
-    if c != 3 or h != w:
-        raise ValueError(f"batch layout needs square RGB images, got {images.shape[1:]}")
-    codes = round_half_up(clamp01(images) * 255.0).astype(np.uint8)
-    planes = codes.transpose(0, 3, 1, 2).reshape(n, -1)
-    rec = np.empty((n, 1 + 3 * h * w), dtype=np.uint8)
-    rec[:, 0] = labels
-    rec[:, 1:] = planes
-    with open(path, "wb") as f:
-        f.write(rec.tobytes())
 
 
 def load_cifar10(dir_path):

@@ -51,14 +51,6 @@ class SubModel:
         gz = self.net.grad_input_batch(flt.apply_batch(self.filter, xb), labels)
         return flt.bpda_backward(self.filter, gz, xb.shape[1:], mode=self.bpda)
 
-    def check_compatible(self, image_shape):
-        out = flt.output_shape(self.filter, image_shape)
-        if tuple(out) != tuple(self.net.input_shape):
-            raise ValueError(
-                f"sub-model {self.name!r}: filter yields {out}, "
-                f"network expects {tuple(self.net.input_shape)}"
-            )
-
 
 @dataclass
 class RobustnessCertificate:
@@ -66,11 +58,6 @@ class RobustnessCertificate:
     margin: float
     lipschitz: float
     radius: float
-
-
-def _softmax(z):
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 class Ensemble:
@@ -106,7 +93,7 @@ class Ensemble:
         mean softmax; score takes the highest mean softmax.
         """
         labels = np.argmax(z, axis=2)
-        mean_p = _softmax(z).mean(axis=0)
+        mean_p = np.exp(nn._log_softmax(z)).mean(axis=0)
         if self.mode == "score":
             return np.argmax(mean_p, axis=1)
         out = np.empty(z.shape[1], dtype=np.int64)

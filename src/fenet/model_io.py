@@ -62,10 +62,9 @@ def load_network(path) -> Network:
         layers, input_shape, num_classes = _bind_header(header)
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ModelFormatError(f"{path}: bad header ({e})") from e
-    param_shapes = _param_shapes(layers, input_shape)
-    for layer, shapes in zip(layers, param_shapes):
+    for layer in layers:
         arrays = []
-        for s in shapes:
+        for s in layer.param_shapes():
             n = math.prod(s)
             nbytes = n * 8
             if len(blob) < off + nbytes:
@@ -78,7 +77,8 @@ def load_network(path) -> Network:
                 .reshape(s)
             )
             off += nbytes
-        _install_params(layer, arrays)
+        if arrays:
+            layer.params = arrays
     if off != len(blob):
         raise ModelFormatError(f"{path}: {len(blob) - off} trailing bytes after parameters")
     try:
@@ -105,24 +105,3 @@ def _bind_header(header):
     for layer in layers:
         shape = layer.bind(shape)
     return layers, tuple(input_shape), num_classes
-
-
-def _param_shapes(layers, input_shape):
-    shapes = []
-    for layer in layers:
-        kind = layer.kind
-        if kind == "Dense":
-            shapes.append([(layer.out_features, layer.in_shape[0]), (layer.out_features,)])
-        elif kind == "Conv2D":
-            c = layer.in_shape[2]
-            shapes.append(
-                [(layer.out_channels, c, layer.kh, layer.kw), (layer.out_channels,)]
-            )
-        else:
-            shapes.append([])
-    return shapes
-
-
-def _install_params(layer, arrays):
-    if arrays:
-        layer.weight, layer.bias = arrays

@@ -8,8 +8,9 @@ Layout conventions: images are (H, W, C) channels-last, batches prepend N.
 Dense weights are (out, in); conv kernels are (out_c, in_c, kh, kw).
 """
 
+import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -58,15 +59,23 @@ def power_iteration(apply_fn, adjoint_fn, in_shape, rng, max_iter=200, tol=1e-6)
 
 
 class Layer:
-    """Base layer: bind() fixes shapes, forward/backward run on batches."""
+    """Base layer: bind() fixes shapes, forward/backward run on batches.
+
+    `params` lists the parameter tensors and, once bound, `param_shapes()`
+    their shapes, in the same order.
+    """
 
     kind = "Layer"
+    in_shape = out_shape = None
 
     def bind(self, in_shape):
         raise NotImplementedError
 
     @property
     def params(self):
+        return []
+
+    def param_shapes(self):
         return []
 
     def init_params(self, rng):
@@ -86,21 +95,44 @@ class Layer:
     def header(self):
         raise NotImplementedError
 
-    def clone(self):
-        raise NotImplementedError
+
+class _Affine(Layer):
+    """The weight (out, in, *kernel) and bias (out,) that Dense and Conv2D share."""
+
+    def __init__(self, weight, bias):
+        self.weight = None if weight is None else np.asarray(weight, dtype=np.float64)
+        self.bias = None if bias is None else np.asarray(bias, dtype=np.float64)
+
+    @property
+    def params(self):
+        return [self.weight, self.bias]
+
+    @params.setter
+    def params(self, arrays):
+        self.weight, self.bias = arrays
+
+    def _check_params(self):
+        for name, p, shape in zip(("weight", "bias"), self.params, self.param_shapes()):
+            if p is not None and p.shape != shape:
+                raise ShapeMismatchError(f"{self.kind} {name} shape {p.shape} != {shape}")
+
+    def init_params(self, rng):
+        wshape, bshape = self.param_shapes()
+        if self.weight is None:
+            area = math.prod(wshape[2:])  # kernel taps; 1 for Dense
+            self.weight = _glorot_uniform(rng, wshape, wshape[1] * area, wshape[0] * area)
+        if self.bias is None:
+            self.bias = np.zeros(bshape)
 
 
-class Dense(Layer):
+class Dense(_Affine):
     kind = "Dense"
 
     def __init__(self, out_features, weight=None, bias=None):
         if out_features < 1:
             raise ValueError("out_features must be positive")
         self.out_features = int(out_features)
-        self.weight = None if weight is None else np.asarray(weight, dtype=np.float64)
-        self.bias = None if bias is None else np.asarray(bias, dtype=np.float64)
-        self.in_shape = None
-        self.out_shape = None
+        super().__init__(weight, bias)
 
     def bind(self, in_shape):
         if len(in_shape) != 1:
@@ -109,22 +141,11 @@ class Dense(Layer):
             )
         self.in_shape = tuple(in_shape)
         self.out_shape = (self.out_features,)
-        if self.weight is not None and self.weight.shape != (self.out_features, in_shape[0]):
-            raise ShapeMismatchError(
-                f"Dense weight shape {self.weight.shape} != {(self.out_features, in_shape[0])}"
-            )
+        self._check_params()
         return self.out_shape
 
-    @property
-    def params(self):
-        return [self.weight, self.bias]
-
-    def init_params(self, rng):
-        n_in = self.in_shape[0]
-        if self.weight is None:
-            self.weight = _glorot_uniform(rng, (self.out_features, n_in), n_in, self.out_features)
-        if self.bias is None:
-            self.bias = np.zeros(self.out_features)
+    def param_shapes(self):
+        return [(self.out_features, self.in_shape[0]), (self.out_features,)]
 
     def forward(self, x):
         return x @ self.weight.T + self.bias, x
@@ -143,11 +164,8 @@ class Dense(Layer):
     def header(self):
         return {"kind": self.kind, "out_features": self.out_features}
 
-    def clone(self):
-        return Dense(self.out_features, weight=self.weight.copy(), bias=self.bias.copy())
 
-
-class Conv2D(Layer):
+class Conv2D(_Affine):
     """2D convolution, channels-last, zero 'same' padding or 'valid'."""
 
     kind = "Conv2D"
@@ -162,16 +180,13 @@ class Conv2D(Layer):
         self.kh, self.kw = int(kh), int(kw)
         self.stride = int(stride)
         self.padding = padding
-        self.weight = None if weight is None else np.asarray(weight, dtype=np.float64)
-        self.bias = None if bias is None else np.asarray(bias, dtype=np.float64)
-        self.in_shape = None
-        self.out_shape = None
         self._pads = None
+        super().__init__(weight, bias)
 
     def bind(self, in_shape):
         if len(in_shape) != 3:
             raise ShapeMismatchError(f"Conv2D expects (H, W, C) input, got {in_shape}")
-        h, w, c = in_shape
+        h, w, _ = in_shape
         s = self.stride
         if self.padding == "same":
             oh, ow = -(-h // s), -(-w // s)
@@ -185,25 +200,11 @@ class Conv2D(Layer):
             self._pads = (0, 0, 0, 0)
         self.in_shape = tuple(in_shape)
         self.out_shape = (oh, ow, self.out_channels)
-        kshape = (self.out_channels, c, self.kh, self.kw)
-        if self.weight is not None and self.weight.shape != kshape:
-            raise ShapeMismatchError(f"Conv2D kernel shape {self.weight.shape} != {kshape}")
+        self._check_params()
         return self.out_shape
 
-    @property
-    def params(self):
-        return [self.weight, self.bias]
-
-    def init_params(self, rng):
-        c = self.in_shape[2]
-        if self.weight is None:
-            fan_in = c * self.kh * self.kw
-            fan_out = self.out_channels * self.kh * self.kw
-            self.weight = _glorot_uniform(
-                rng, (self.out_channels, c, self.kh, self.kw), fan_in, fan_out
-            )
-        if self.bias is None:
-            self.bias = np.zeros(self.out_channels)
+    def param_shapes(self):
+        return [(self.out_channels, self.in_shape[2], self.kh, self.kw), (self.out_channels,)]
 
     def _pad(self, x):
         pt, pb, pl, pr = self._pads
@@ -289,19 +290,9 @@ class Conv2D(Layer):
             "padding": self.padding,
         }
 
-    def clone(self):
-        return Conv2D(
-            self.out_channels, (self.kh, self.kw), self.stride, self.padding,
-            weight=self.weight.copy(), bias=self.bias.copy(),
-        )
-
 
 class ReLU(Layer):
     kind = "ReLU"
-
-    def __init__(self):
-        self.in_shape = None
-        self.out_shape = None
 
     def bind(self, in_shape):
         self.in_shape = self.out_shape = tuple(in_shape)
@@ -319,9 +310,6 @@ class ReLU(Layer):
     def header(self):
         return {"kind": self.kind}
 
-    def clone(self):
-        return ReLU()
-
 
 class AvgPool2D(Layer):
     kind = "AvgPool2D"
@@ -333,8 +321,6 @@ class AvgPool2D(Layer):
         self.stride = int(stride) if stride is not None else int(pool)
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
-        self.in_shape = None
-        self.out_shape = None
 
     def bind(self, in_shape):
         if len(in_shape) != 3:
@@ -387,16 +373,9 @@ class AvgPool2D(Layer):
     def header(self):
         return {"kind": self.kind, "pool": self.pool, "stride": self.stride}
 
-    def clone(self):
-        return AvgPool2D(self.pool, self.stride)
-
 
 class Flatten(Layer):
     kind = "Flatten"
-
-    def __init__(self):
-        self.in_shape = None
-        self.out_shape = None
 
     def bind(self, in_shape):
         self.in_shape = tuple(in_shape)
@@ -415,9 +394,6 @@ class Flatten(Layer):
 
     def header(self):
         return {"kind": self.kind}
-
-    def clone(self):
-        return Flatten()
 
 
 LAYER_KINDS = {cls.kind: cls for cls in (Dense, Conv2D, ReLU, AvgPool2D, Flatten)}
@@ -495,28 +471,15 @@ class Network:
             xb, _ = layer.forward(xb)
         return xb
 
-    def forward(self, x):
-        return self.forward_batch(np.asarray(x)[None])[0]
-
     def classify_batch(self, xb):
         # argmax takes the first maximum, i.e. ties go to the smallest index
         return np.argmax(self.forward_batch(xb), axis=1)
-
-    def classify(self, x):
-        return int(self.classify_batch(np.asarray(x)[None])[0])
 
     def _check_labels(self, labels):
         labels = np.asarray(labels)
         if labels.min(initial=0) < 0 or labels.max(initial=-1) >= self.num_classes:
             raise ValueError(f"label out of range [0, {self.num_classes})")
         return labels.astype(np.intp)
-
-    def loss_batch(self, xb, labels):
-        labels = self._check_labels(labels)
-        return _xent(self.forward_batch(xb), labels)
-
-    def loss(self, x, label):
-        return float(self.loss_batch(np.asarray(x)[None], [label])[0])
 
     # -- gradients ---------------------------------------------------------
 
@@ -550,35 +513,7 @@ class Network:
         _, g, _ = self._backprop(xb, labels, need_input=True, need_params=False)
         return g
 
-    def grad_input(self, x, label):
-        return self.grad_input_batch(np.asarray(x)[None], [label])[0]
-
-    def grad_params(self, x, label):
-        """Gradients w.r.t. every parameter tensor, summed over the batch.
-
-        `x` may be a single input or a batch; `label` likewise.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape == self.input_shape:
-            xb, labels = x[None], [label]
-        else:
-            xb, labels = x, label
-        _, _, pgs = self._backprop(xb, labels, need_input=False, need_params=True)
-        flat = []
-        for pg in pgs:
-            flat.extend(pg)
-        return flat
-
-    def parameters(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.params)
-        return out
-
     # -- misc --------------------------------------------------------------
-
-    def copy(self):
-        return Network([l.clone() for l in self.layers], self.input_shape, self.num_classes)
 
     def lipschitz_upper_bound(self, seed=0):
         """Product of per-layer operator-norm bounds; a valid L2 Lipschitz bound."""
@@ -605,13 +540,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
 
 
-def _as_arrays(dataset):
-    if hasattr(dataset, "images"):
-        return np.asarray(dataset.images, dtype=np.float64), np.asarray(dataset.labels)
-    xs, ys = dataset
-    return np.asarray(xs, dtype=np.float64), np.asarray(ys)
-
-
 def train(net, dataset, cfg, augment=None):
     """Minibatch SGD over each learning rate in sequence.
 
@@ -621,10 +549,10 @@ def train(net, dataset, cfg, augment=None):
     -> xb` may replace batch inputs before the gradient step (noise
     injection, adversarial examples). Deterministic for a fixed cfg.rng_seed.
     """
-    xs, ys = _as_arrays(dataset)
+    xs, ys = dataset.images, dataset.labels
     if len(xs) == 0:
         raise ValueError("empty dataset")
-    net = net.copy()
+    net = copy.deepcopy(net)
     rng = rng_from(cfg.rng_seed)
     n = len(xs)
     log = []

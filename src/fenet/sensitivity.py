@@ -37,16 +37,6 @@ class SensitivitySample:
     filter_names: tuple
 
 
-def sensitivity(spec, x, delta) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    delta = np.asarray(delta, dtype=np.float64)
-    if delta.shape != x.shape:
-        raise ValueError(f"perturbation shape {delta.shape} != image shape {x.shape}")
-    perturbed = clamp01(x + delta)
-    diff = flt.apply(spec, perturbed) - flt.apply(spec, x)
-    return float(np.linalg.norm(diff))
-
-
 def noise_stream(seed, image_id):
     """The RNG stream that generates every noise for one image.
 
@@ -140,25 +130,18 @@ def pearson_matrix(samples: list) -> CorrelationMatrix:
     return CorrelationMatrix(names, rho)
 
 
-def select_min_correlated(matrix: CorrelationMatrix, k: int, must_include=()) -> list:
+def select_min_correlated(matrix: CorrelationMatrix, k: int) -> list:
     """The k filters whose worst pairwise |rho| is smallest.
 
-    Exhaustive over all k-subsets containing must_include; ties go to the
-    lexicographically first subset of names.
+    Exhaustive over all k-subsets; ties go to the lexicographically first
+    subset of names.
     """
     names = matrix.filter_names
-    must = list(dict.fromkeys(must_include))
-    unknown = [m for m in must if m not in names]
-    if unknown:
-        raise ValueError(f"must_include names not in matrix: {unknown}")
     if k > len(names):
         raise ValueError(f"k={k} exceeds {len(names)} filters")
-    if k < len(must):
-        raise ValueError(f"k={k} smaller than must_include ({len(must)} filters)")
-    rest = [nm for nm in names if nm not in must]
     best = None
-    for combo in combinations(rest, k - len(must)):
-        chosen = sorted(must + list(combo))
+    for combo in combinations(names, k):
+        chosen = sorted(combo)
         worst = 0.0
         for a, b in combinations(chosen, 2):
             worst = max(worst, abs(matrix.pair(a, b)))

@@ -15,6 +15,11 @@ DESK_TRAIN_CFG = nn.TrainConfig(
 )
 
 
+def params_of(net):
+    """Every parameter tensor of a network, layer by layer, in declared order."""
+    return [p for layer in net.layers for p in layer.params]
+
+
 def desk_bank():
     """Filter bank sized for the 16x16 desk images."""
     bank = flt.default_filters()

@@ -17,6 +17,8 @@ from fenet import attacks, cli, data, ensemble, filters as flt, nn, sensitivity
 from fenet.attacks import AttackConfig
 from fenet.util import rng_from
 
+from conftest import params_of
+
 CIFAR_SKIP = (
     "CIFAR-10 binary batches not found; download cifar-10-binary.tar.gz from "
     "https://www.cs.toronto.edu/~kriz/cifar.html and extract it into ./data "
@@ -83,6 +85,10 @@ def _random_net_and_input(i: int):
     raise AssertionError("no kink-free sample found")
 
 
+def _loss(net, x, label):
+    return float(nn._xent(net.forward_batch(x[None]), np.array([label]))[0])
+
+
 def test_01_analytic_gradients_match_finite_differences():
     h = 1e-5
     for i in range(50):
@@ -92,19 +98,20 @@ def test_01_analytic_gradients_match_finite_differences():
             xp, xm = x.copy(), x.copy()
             xp[idx] += h
             xm[idx] -= h
-            want[idx] = (net.loss(xp, label) - net.loss(xm, label)) / (2 * h)
-        np.testing.assert_allclose(net.grad_input(x, label), want, rtol=1e-4, atol=1e-7)
-        grads = net.grad_params(x, label)
-        params = net.parameters()
+            want[idx] = (_loss(net, xp, label) - _loss(net, xm, label)) / (2 * h)
+        np.testing.assert_allclose(net.grad_input_batch(x[None], [label])[0], want, rtol=1e-4, atol=1e-7)
+        _, _, layer_grads = net._backprop(x[None], [label], need_input=False, need_params=True)
+        grads = [g for pg in layer_grads for g in pg]
+        params = params_of(net)
         assert len(grads) == len(params)
         for p, g in zip(params, grads):
             flat = p.reshape(-1)
             for j in rng.choice(flat.size, size=min(5, flat.size), replace=False):
                 orig = flat[j]
                 flat[j] = orig + h
-                lp = net.loss(x, label)
+                lp = _loss(net, x, label)
                 flat[j] = orig - h
-                lm = net.loss(x, label)
+                lm = _loss(net, x, label)
                 flat[j] = orig
                 fd = (lp - lm) / (2 * h)
                 assert g.reshape(-1)[j] == pytest.approx(fd, rel=1e-4, abs=1e-7)

@@ -9,6 +9,8 @@ import pytest
 
 from fenet import cli, data, filters as flt, model_io, nn
 
+from conftest import params_of
+
 TINY_ARCH = [{"kind": "Flatten"}, {"kind": "Dense", "out_features": None}]
 
 BASE = [
@@ -74,7 +76,7 @@ def test_zero_epoch_schedule_persists_initial_weights(tmp_path):
     assert run_cli("train", tmp_path, "--set", "train.epochs_per_rate=0") == 0
     saved = model_io.load_network(tmp_path / "models" / "identity.fenet")
     fresh = nn.build_network(TINY_ARCH, (8, 8, 3), 4, seed=0)
-    for a, b in zip(saved.parameters(), fresh.parameters()):
+    for a, b in zip(params_of(saved), params_of(fresh)):
         assert np.array_equal(a, b)
     _, _, rows = read_rows(tmp_path / "train_t.csv")
     assert rows == []
@@ -211,14 +213,49 @@ def test_bpda_off_is_a_config_error(tmp_path, capsys):
         ("dataset.num_per_class", 1),
         ("dataset.test_per_class", 1),
         ("dataset.size", 8),
+        ("dataset.subset", 0),
+        ("seed", 0),
+        ("dataset.train_seed", 0),
+        ("dataset.test_seed", 0),
+        ("dataset.subset_seed", 0),
+        ("train.rng_seed", 0),
+        ("attack.rng_seed", 0),
+        ("noise.rng_seed", 0),
+        # the dataclass owns the range, config load only the type
+        ("train.epochs_per_rate", None),
+        ("train.batch_size", None),
+        ("attack.steps", None),
+        ("noise.samples_per_image", None),
+        ("noise.num_images", None),
     ],
 )
 @pytest.mark.parametrize("value", ["x", "null", "1.5", "true", "-1"])
 def test_integer_field_rejects_non_integers_at_config_load(tmp_path, capsys, field, minimum, value):
+    if field == "dataset.subset" and value == "null":
+        value = '"null"'  # JSON null means the whole split
     rc = run_cli("train", tmp_path, "--set", f"{field}={value}")
     assert rc == 2
-    assert capsys.readouterr().err == f"config error: {field}: must be an integer >= {minimum}\n"
+    err = capsys.readouterr().err
+    if minimum is None and value == "-1":
+        # the range error is the dataclass's, named by its config block
+        assert err.startswith(f"config error: {field.split('.')[0]}: ")
+    else:
+        at_least = "" if minimum is None else f" >= {minimum}"
+        assert err == f"config error: {field}: must be an integer{at_least}\n"
     assert not (tmp_path / "models").exists()
+
+
+def test_select_k_above_filter_count_is_a_config_error(tmp_path, capsys):
+    assert run_cli("correlate", tmp_path, "--set", "noise.select_k=4") == 2
+    assert capsys.readouterr().err == "config error: noise.select_k: must be <= the 3 listed filters\n"
+
+
+def test_duplicate_ensemble_display_name_is_a_config_error(tmp_path, capsys):
+    # certify keys Lipschitz bounds by display name, so a repeat would certify
+    # one member with another's bound
+    members = '[["a","identity"],["a","grayscale"]]'
+    assert run_cli("certify", tmp_path, "--set", f"ensemble.members={members}") == 2
+    assert capsys.readouterr().err.startswith("config error: ensemble.members[1]: duplicate display name")
 
 
 def test_set_override_does_not_leak_into_the_next_call(tmp_path, capsys):

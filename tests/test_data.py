@@ -9,9 +9,24 @@ from fenet.data import (
     read_cifar_batch,
     subset,
     synth_shapes,
-    write_cifar_batch,
 )
-from fenet.util import rng_from
+from fenet.util import clamp01, rng_from, round_half_up
+
+
+def write_cifar_batch(path, images, labels) -> None:
+    """Inverse of read_cifar_batch; pixel values snap back to their source bytes."""
+    images = np.asarray(images)
+    labels = np.asarray(labels)
+    n, h, w, c = images.shape
+    if c != 3 or h != w:
+        raise ValueError(f"batch layout needs square RGB images, got {images.shape[1:]}")
+    codes = round_half_up(clamp01(images) * 255.0).astype(np.uint8)
+    planes = codes.transpose(0, 3, 1, 2).reshape(n, -1)
+    rec = np.empty((n, 1 + 3 * h * w), dtype=np.uint8)
+    rec[:, 0] = labels
+    rec[:, 1:] = planes
+    with open(path, "wb") as f:
+        f.write(rec.tobytes())
 
 
 def fake_batch_bytes(n, size=32, seed=0):

@@ -25,6 +25,8 @@ from fenet.ensemble import (
     pairwise_bound,
 )
 
+from conftest import params_of
+
 SHAPE = (2, 2, 1)
 X = np.full(SHAPE, 0.5)
 
@@ -209,14 +211,6 @@ def test_ensemble_constructor_rejects():
         Ensemble([bias_sub("a", (1, 0)), bias_sub("b", (1, 0, 0))])
 
 
-def test_submodel_compatibility_check():
-    sm = SubModel("g", flt.filter_spec("grayscale"), bias_net((1, 0), shape=(2, 2, 1)))
-    sm.check_compatible((2, 2, 3))
-    bad = SubModel("g", flt.filter_spec("identity"), bias_net((1, 0), shape=(2, 2, 1)))
-    with pytest.raises(ValueError, match="expects"):
-        bad.check_compatible((2, 2, 3))
-
-
 # -------------------------------------------------------------------- margins
 
 
@@ -333,7 +327,7 @@ def test_sigma_zero_equals_plain_training():
         ds,
         nn.TrainConfig(learning_rates=(0.1,), epochs_per_rate=1, batch_size=8, rng_seed=cfg_seed),
     )
-    for a, b in zip(subs[0].net.parameters(), plain.parameters()):
+    for a, b in zip(params_of(subs[0].net), params_of(plain)):
         assert np.array_equal(a, b)
 
 
@@ -363,7 +357,7 @@ def test_adversarial_training_radius_zero_is_plain_training():
         ds,
         TINY_CFG,
     )
-    for a, b in zip(at.parameters(), plain.parameters()):
+    for a, b in zip(params_of(at), params_of(plain)):
         assert np.array_equal(a, b)
 
 
@@ -372,7 +366,7 @@ def test_adversarial_training_deterministic():
     cfg = AttackConfig(radius=4 / 255, steps=2)
     one = adversarial_train(TINY_ARCH, ds, cfg, TINY_CFG)
     two = adversarial_train(TINY_ARCH, ds, cfg, TINY_CFG)
-    for a, b in zip(one.parameters(), two.parameters()):
+    for a, b in zip(params_of(one), params_of(two)):
         assert np.array_equal(a, b)
 
 

@@ -9,6 +9,8 @@ from fenet.model_io import MAGIC, ModelFormatError, load_network, save_network
 from fenet.nn import AvgPool2D, Conv2D, Dense, Flatten, Network, ReLU
 from fenet.util import rng_from
 
+from conftest import params_of
+
 
 def make_net(seed=0):
     return Network(
@@ -25,7 +27,7 @@ def test_round_trip_bit_exact(tmp_path):
     assert back.input_shape == net.input_shape
     assert back.num_classes == net.num_classes
     assert [l.kind for l in back.layers] == [l.kind for l in net.layers]
-    for p, q in zip(back.parameters(), net.parameters()):
+    for p, q in zip(params_of(back), params_of(net)):
         assert p.tobytes() == q.tobytes()
 
 
@@ -34,8 +36,8 @@ def test_round_trip_preserves_behavior(tmp_path):
     path = tmp_path / "m.fenet"
     save_network(net, path)
     back = load_network(path)
-    x = rng_from(1).uniform(size=(8, 8, 1))
-    assert np.array_equal(back.forward(x), net.forward(x))
+    xb = rng_from(1).uniform(size=(1, 8, 8, 1))
+    assert np.array_equal(back.forward_batch(xb), net.forward_batch(xb))
 
 
 def test_serialization_deterministic(tmp_path):
