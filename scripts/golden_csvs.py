@@ -13,10 +13,11 @@ path. Run it at two commits and diff the outputs: a change that keeps
 every line keeps every result byte for byte. It imports fenet from the
 checkout it lives in, so a copy of the script hashes that copy's code.
 
-`--diff DIR_A DIR_B` runs nothing. It compares two `--keep` directories
-and, for each CSV whose hash differs, prints the largest absolute and
-relative difference over its numeric cells, so a change that alters float
-rounding shows how far each output moved.
+`--diff DIR_A DIR_B` runs nothing. It compares two `--keep` directories:
+it names each CSV or model that exists on one side only or whose bytes
+differ, and for a differing CSV prints the largest absolute and relative
+difference over its numeric cells, so a change that alters float rounding
+shows how far each output moved. It exits 1 when any output differs.
 
     python3 scripts/golden_csvs.py [--only test09|desk] [--keep DIR]
     python3 scripts/golden_csvs.py --diff DIR_A DIR_B
@@ -104,23 +105,23 @@ def cell_diff(a, b):
 
 
 def diff_dirs(dir_a, dir_b) -> int:
-    """Print one line per CSV that differs between two --keep directories."""
-    csvs_a, csvs_b = outputs(dir_a, (".csv",)), outputs(dir_b, (".csv",))
-    for path in sorted(set(csvs_a) ^ set(csvs_b)):
-        print(f"{path}: only in {dir_a if path in csvs_a else dir_b}")
+    """Print one line per CSV or model that differs between two --keep directories; 1 if any does."""
+    files_a, files_b = outputs(dir_a), outputs(dir_b)
+    for path in sorted(set(files_a) ^ set(files_b)):
+        print(f"{path}: only in {dir_a if path in files_a else dir_b}")
     same = 0
-    for path in sorted(set(csvs_a) & set(csvs_b)):
+    for path in sorted(set(files_a) & set(files_b)):
         a, b = os.path.join(dir_a, path), os.path.join(dir_b, path)
         if sha256(a) == sha256(b):
             same += 1
             continue
-        moved = cell_diff(a, b)
+        moved = cell_diff(a, b) if path.endswith(".csv") else "model bytes differ"
         if isinstance(moved, str):
             print(f"{path}: {moved}")
         else:
             print(f"{path}: max abs diff {moved[0]:.3g}, max rel diff {moved[1]:.3g}")
-    print(f"{same} CSV(s) identical")
-    return 0
+    print(f"{same} output(s) identical")
+    return int(same != len(set(files_a) | set(files_b)))
 
 
 def main() -> int:
@@ -128,7 +129,7 @@ def main() -> int:
     parser.add_argument("--only", choices=("test09", "desk"), help="run one config only")
     parser.add_argument("--keep", help="run in this directory and keep the outputs")
     parser.add_argument("--diff", nargs=2, metavar=("DIR_A", "DIR_B"),
-                        help="compare the CSVs of two --keep directories instead of running")
+                        help="compare the outputs of two --keep directories instead of running")
     args = parser.parse_args()
     if args.diff:
         return diff_dirs(*args.diff)

@@ -128,17 +128,12 @@ def run_attack_batch(model, xb, labels, cfg: AttackConfig, image_ids=None, trace
     sgn = 1.0 if cfg.loss_sign == "ascend" else -1.0
     p = cfg.norm
 
-    if cfg.method == "fgsm":
-        steps, alpha, random_init = 1, r, False
-    else:
-        steps, alpha, random_init = cfg.steps, cfg.resolved_step_size(), cfg.random_init
-    if cfg.method == "bim":
-        random_init = False
+    steps, alpha = (1, r) if cfg.method == "fgsm" else (cfg.steps, cfg.resolved_step_size())
 
     adv = xb.copy()
     grad_calls = 0
     if r > 0:
-        if cfg.method == "pgd" and random_init:
+        if cfg.method == "pgd" and cfg.random_init:
             deltas = np.empty_like(xb)
             for k, i in enumerate(image_ids):
                 deltas[k] = _init_point(rng_from(cfg.rng_seed, int(i)), xb.shape[1:], r, p)
@@ -146,13 +141,7 @@ def run_attack_batch(model, xb, labels, cfg: AttackConfig, image_ids=None, trace
         for step in range(steps):
             g = sgn * model.grad_input_batch(adv, labels)
             grad_calls += 1
-            moved = adv + alpha * _direction(g, p)
-            d = moved - xb
-            if cfg.method == "bim":
-                d = np.clip(d, -r, r)
-            else:
-                d = _project(d, r, p)
-            adv = clamp01(xb + d)
+            adv = clamp01(xb + _project(adv + alpha * _direction(g, p) - xb, r, p))
             if trace is not None:
                 trace(step, adv)
 

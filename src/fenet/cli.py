@@ -12,7 +12,9 @@ import argparse
 import copy
 import functools
 import hashlib
+import itertools
 import json
+import math
 import os
 import sys
 
@@ -164,6 +166,10 @@ def _expect_int(value, minimum, field, note=""):
             f"{field}: must be an integer{at_least}{note}")
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _validate(cfg: dict) -> None:
     dcfg = cfg["dataset"]
     _expect(dcfg["kind"] in ("synth", "cifar10"), f"dataset.kind: unknown kind {dcfg['kind']!r}")
@@ -181,12 +187,18 @@ def _validate(cfg: dict) -> None:
     _expect(len(cfg["filters"]) >= 1, "filters: must list at least one filter")
     for name in cfg["filter_params"]:
         _expect(name in known, f"filter_params.{name}: unknown filter")
-    for i, eps in enumerate(cfg["attack"]["epsilons"]):
+    acfg = cfg["attack"]
+    for i, eps in enumerate(acfg["epsilons"]):
         _expect_int(eps, 0, f"attack.epsilons[{i}]", " (1/255 units)")
-    _expect(len(cfg["attack"]["epsilons"]) >= 1, "attack.epsilons: must be non-empty")
-    _expect(cfg["attack"]["source"] in cfg["filters"], "attack.source: must be one of the listed filters")
-    _expect(cfg["attack"]["bpda"] in flt.BPDA_MODES,
-            f"attack.bpda: must be identity or adjoint, got {cfg['attack']['bpda']!r}")
+    _expect(len(acfg["epsilons"]) >= 1, "attack.epsilons: must be non-empty")
+    _expect(acfg["source"] in cfg["filters"], "attack.source: must be one of the listed filters")
+    _expect(acfg["bpda"] in flt.BPDA_MODES, f"attack.bpda: must be identity or adjoint, got {acfg['bpda']!r}")
+    _expect(isinstance(acfg["random_init"], bool), "attack.random_init: must be true or false")
+    _expect(acfg["step_size"] is None or _is_number(acfg["step_size"]),
+            "attack.step_size: must be null or a finite number")
+    rates = cfg["train"]["learning_rates"]
+    _expect(isinstance(rates, list) and all(map(_is_number, rates)),
+            "train.learning_rates: must be a list of finite numbers")
     ncfg = cfg["noise"]
     _expect_int(ncfg["epsilon_max"], 1, "noise.epsilon_max", " (1/255 units)")
     _expect_int(ncfg["select_k"], 1, "noise.select_k")
@@ -202,7 +214,7 @@ def _validate(cfg: dict) -> None:
         for i, pair in enumerate(ecfg["members"]):
             _expect(isinstance(pair, (list, tuple)) and len(pair) == 2,
                     f"ensemble.members[{i}]: expected [display_name, filter_name]")
-            # certify keys each member's Lipschitz bound by its display name
+            # certify rows name each member by its display name
             _expect(pair[0] not in seen, f"ensemble.members[{i}]: duplicate display name {pair[0]!r}")
             seen.append(pair[0])
             _expect(pair[1] in known, f"ensemble.members[{i}]: unknown filter {pair[1]!r}")
@@ -212,7 +224,7 @@ def _validate(cfg: dict) -> None:
                          ("noise", "samples_per_image"), ("noise", "num_images")):
         _expect_int(cfg[section][key], None, f"{section}.{key}")
     _train_config(cfg)
-    for eps in cfg["attack"]["epsilons"]:
+    for eps in acfg["epsilons"]:
         _attack_config(cfg, eps)
     _noise_config(cfg)
 
@@ -238,8 +250,8 @@ def _attack_config(cfg, eps_255: int) -> attacks.AttackConfig:
             radius=eps_255 / 255,
             norm=a["norm"],
             steps=a["steps"],
-            step_size=None if a["step_size"] is None else float(a["step_size"]),
-            random_init=bool(a["random_init"]),
+            step_size=a["step_size"],
+            random_init=a["random_init"],
             loss_sign=a["loss_sign"],
             rng_seed=a["rng_seed"],
         )
@@ -505,19 +517,17 @@ def cmd_certify(cfg) -> list:
     n = cfg["certify"]["num_inputs"]
     if n > len(test_ds.images):
         raise ConfigError(f"certify.num_inputs: dataset has only {len(test_ds.images)} images")
-    power_seed = cfg["certify"]["power_seed"]
-    lips = {sm.name: sm.net.lipschitz_upper_bound(seed=power_seed) for sm in subs}
+    lips = [sm.net.lipschitz_upper_bound(seed=cfg["certify"]["power_seed"]) for sm in subs]
+    # one forward pass per member over all n inputs
+    certs = [ensemble.certify_submodel(sm, test_ds.images[:n], lip) for sm, lip in zip(subs, lips)]
+    pairs = [(a, b, ensemble.pairwise_bound(a, b)) for a, b in itertools.combinations(certs, 2)]
     cert_rows = ["input_id,submodel,margin,lipschitz,radius"]
     pair_rows = ["input_id,submodel_a,submodel_b,bound"]
     for i in range(n):
-        x = test_ds.images[i]
-        certs = [ensemble.certify_submodel(sm, x, lipschitz=lips[sm.name]) for sm in subs]
         for c in certs:
-            cert_rows.append(f"{i},{c.submodel_name},{c.margin:.12g},{c.lipschitz:.12g},{c.radius:.12g}")
-        for a in range(len(certs)):
-            for b in range(a + 1, len(certs)):
-                bound = ensemble.pairwise_bound(certs[a], certs[b])
-                pair_rows.append(f"{i},{certs[a].submodel_name},{certs[b].submodel_name},{bound:.12g}")
+            cert_rows.append(f"{i},{c.submodel_name},{c.margin[i]:.12g},{c.lipschitz:.12g},{c.radius[i]:.12g}")
+        for a, b, bound in pairs:
+            pair_rows.append(f"{i},{a.submodel_name},{b.submodel_name},{bound[i]:.12g}")
     return _write_outputs(
         cfg, "certify",
         {"": "\n".join(cert_rows) + "\n", "_pairs": "\n".join(pair_rows) + "\n"},

@@ -6,6 +6,7 @@ binary batches under $FENET_DATA_DIR or ./data and skip with download
 instructions when absent; everything else runs unconditionally.
 """
 
+import itertools
 import math
 import os
 from dataclasses import replace
@@ -296,24 +297,21 @@ def test_07_low_correlation_ensemble_survives_the_sum_attack(desk_mincorr, desk_
 
 def test_08_certified_radii_survive_random_search(desk_mincorr, desk_test):
     subs = desk_mincorr.submodels
-    lips = {sm.name: sm.net.lipschitz_upper_bound(seed=0) for sm in subs}
+    xb = desk_test.images[:100]
+    certs = [ensemble.certify_submodel(sm, xb, sm.net.lipschitz_upper_bound(seed=0)) for sm in subs]
+    for a, b in itertools.combinations(certs, 2):
+        bound = ensemble.pairwise_bound(a, b)
+        assert bound == pytest.approx(a.radius * b.radius, rel=1e-12, abs=0.0)
     rng = rng_from(9800)
-    for i in range(100):
-        x = desk_test.images[i]
-        certs = [ensemble.certify_submodel(sm, x, lipschitz=lips[sm.name]) for sm in subs]
-        for a in range(len(certs)):
-            for b in range(a + 1, len(certs)):
-                bound = ensemble.pairwise_bound(certs[a], certs[b])
-                product = certs[a].radius * certs[b].radius
-                assert bound == pytest.approx(product, rel=1e-12, abs=0.0)
+    for i, x in enumerate(xb):
         for sm, cert in zip(subs, certs):
-            if cert.radius == 0.0:
+            if cert.radius[i] == 0.0:
                 continue
             z = flt.apply(sm.filter, x)
             label = int(sm.net.classify_batch(z[None])[0])
             g = rng.standard_normal((500, *z.shape))
             g /= np.linalg.norm(g.reshape(500, -1), axis=1).reshape(500, 1, 1, 1)
-            scale = cert.radius * rng.uniform(size=500) ** (1.0 / z.size)
+            scale = cert.radius[i] * rng.uniform(size=500) ** (1.0 / z.size)
             batch = z[None] + g * scale.reshape(500, 1, 1, 1)
             assert np.all(sm.net.classify_batch(batch) == label)
 

@@ -245,14 +245,43 @@ def test_integer_field_rejects_non_integers_at_config_load(tmp_path, capsys, fie
     assert not (tmp_path / "models").exists()
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ('attack.random_init="no"', "attack.random_init: must be true or false"),
+        ("attack.random_init=1", "attack.random_init: must be true or false"),
+        ("attack.random_init=null", "attack.random_init: must be true or false"),
+        ('attack.step_size="0.01"', "attack.step_size: must be null or a finite number"),
+        ("attack.step_size=true", "attack.step_size: must be null or a finite number"),
+        ("attack.step_size=NaN", "attack.step_size: must be null or a finite number"),
+        ('train.learning_rates=["0.1",true]', "train.learning_rates: must be a list of finite numbers"),
+        ("train.learning_rates=[0.1,true]", "train.learning_rates: must be a list of finite numbers"),
+        ("train.learning_rates=[0.1,Infinity]", "train.learning_rates: must be a list of finite numbers"),
+        ("train.learning_rates=0.1", "train.learning_rates: must be a list of finite numbers"),
+    ],
+)
+def test_mistyped_attack_and_train_fields_fail_at_config_load(tmp_path, capsys, override, message):
+    # bool("no") is True and float("0.01") parses, so a cast would accept these
+    assert run_cli("train", tmp_path, "--set", override) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "models").exists()
+
+
+def test_integer_step_size_and_false_random_init_load():
+    args = cli._parser().parse_args(["attack", "--set", "attack.epsilons=[0]",
+                                     "--set", "attack.step_size=1", "--set", "attack.random_init=false"])
+    acfg = cli._attack_config(cli.load_config(args), 0)
+    assert acfg.step_size == 1 and acfg.random_init is False
+
+
 def test_select_k_above_filter_count_is_a_config_error(tmp_path, capsys):
     assert run_cli("correlate", tmp_path, "--set", "noise.select_k=4") == 2
     assert capsys.readouterr().err == "config error: noise.select_k: must be <= the 3 listed filters\n"
 
 
 def test_duplicate_ensemble_display_name_is_a_config_error(tmp_path, capsys):
-    # certify keys Lipschitz bounds by display name, so a repeat would certify
-    # one member with another's bound
+    # certify rows name each member by its display name, so a repeat would
+    # make two members' rows indistinguishable
     members = '[["a","identity"],["a","grayscale"]]'
     assert run_cli("certify", tmp_path, "--set", f"ensemble.members={members}") == 2
     assert capsys.readouterr().err.startswith("config error: ensemble.members[1]: duplicate display name")

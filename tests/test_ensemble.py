@@ -21,7 +21,6 @@ from fenet.ensemble import (
     adversarial_train,
     certify_submodel,
     gaussian_noise_submodels,
-    margin,
     pairwise_bound,
 )
 
@@ -165,6 +164,32 @@ def test_member_logits_serve_vote_score_and_members():
         assert np.array_equal(e.classify_logits(z), e.classify_batch(xb))
 
 
+def vote_oracle(z, num_classes):
+    """The per-image vote loop: bincount the member labels, break ties by mean softmax."""
+    labels = np.argmax(z, axis=2)
+    mean_p = np.exp(nn._log_softmax(z)).mean(axis=0)
+    out = np.empty(z.shape[1], dtype=np.int64)
+    for i in range(z.shape[1]):
+        counts = np.bincount(labels[:, i], minlength=num_classes)
+        tied = np.flatnonzero(counts == counts.max())
+        if len(tied) == 1:
+            out[i] = tied[0]
+        else:
+            out[i] = tied[np.argmax(mean_p[i, tied])]
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10**6), m=st.integers(1, 6), n=st.integers(0, 8), k=st.integers(2, 5))
+def test_vote_equals_per_image_bincount_loop(seed, m, n, k):
+    # small integer logits tie both the member labels and the mean softmax often
+    z = np.random.default_rng(seed).integers(-2, 3, size=(m, n, k)).astype(np.float64)
+    e = Ensemble([bias_sub(f"s{i}", np.zeros(k)) for i in range(m)])
+    got = e.classify_logits(z)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, vote_oracle(z, k))
+
+
 @pytest.mark.parametrize("mode", ["vote", "score"])
 def test_empty_batch_classifies_to_empty_int64(mode):
     e = Ensemble([bias_sub("a", (1, 0, 0)), bias_sub("b", (0, 1, 0))], mode=mode)
@@ -214,11 +239,24 @@ def test_ensemble_constructor_rejects():
 # -------------------------------------------------------------------- margins
 
 
+def scalar_certificate(f, lip):
+    """The per-image margin and radius formulas, applied to one row of logits."""
+    label = int(np.argmax(f))
+    delta = float(f[label] - np.delete(f, label).max())
+    if delta > 0:
+        radius = delta / (math.sqrt(2.0) * lip) if lip > 0 else math.inf
+    else:
+        radius = 0.0
+    return delta, radius
+
+
 def test_margin_examples():
-    net = bias_net((2.0, 0.5, 0.0))
-    assert margin(net, X) == pytest.approx(1.5, abs=1e-12)
-    tied = bias_net((1.0, 1.0, 0.0))
-    assert margin(tied, X) == 0.0
+    xb = np.stack([X, X])
+    cert = certify_submodel(bias_sub("s", (2.0, 0.5, 0.0)), xb, 1.0)
+    assert cert.margin.shape == cert.radius.shape == (2,)
+    assert cert.margin == pytest.approx([1.5, 1.5], abs=1e-12)
+    tied = certify_submodel(bias_sub("t", (1.0, 1.0, 0.0)), xb, 1.0)
+    assert np.array_equal(tied.margin, [0.0, 0.0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -226,12 +264,47 @@ def test_margin_examples():
 def test_margin_matches_scan_oracle(seed, n):
     rng = np.random.default_rng(seed)
     logits = rng.uniform(-4, 4, size=n)
-    net = bias_net(logits)
     label = int(np.argmax(logits))
     best_other = max(v for i, v in enumerate(logits) if i != label)
-    got = margin(net, X)
+    got = certify_submodel(bias_sub("s", logits), X[None], 1.0).margin[0]
     assert got == pytest.approx(logits[label] - best_other, abs=1e-12)
     assert got >= 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(0, 6), lip=st.sampled_from([0.0, 0.5, 3.0]))
+def test_batched_certificate_equals_scalar_formula_on_its_own_logits(seed, n, lip):
+    # integer weights and half-integer pixels make tied top logits common
+    rng = np.random.default_rng(seed)
+    net = bias_net(rng.integers(-2, 3, size=3))
+    net.layers[-1].weight[:] = rng.integers(-2, 3, size=net.layers[-1].weight.shape)
+    sm = SubModel("s", flt.filter_spec("identity"), net)
+    xb = rng.integers(0, 3, size=(n,) + SHAPE) / 2
+    cert = certify_submodel(sm, xb, lip)
+    assert cert.margin.shape == cert.radius.shape == (n,)
+    z = sm.forward_batch(xb)
+    for i in range(n):
+        assert (cert.margin[i], cert.radius[i]) == scalar_certificate(z[i], lip)
+
+
+def test_batched_certificate_matches_single_image_forward():
+    # a one-row Dense product may take a different BLAS kernel than a batch
+    arch = [
+        {"kind": "Conv2D", "out_channels": 3, "kernel": [3, 3], "stride": 1, "padding": "same"},
+        {"kind": "ReLU"},
+        {"kind": "Flatten"},
+        {"kind": "Dense", "out_features": None},
+    ]
+    net = nn.build_network(arch, (5, 5, 3), 4, seed=6)
+    xb = np.random.default_rng(2).uniform(size=(7, 5, 5, 3))
+    for kind in ("identity", "lowpass", "octree"):
+        sm = SubModel(kind, flt.filter_spec(kind), net)
+        lip = net.lipschitz_upper_bound(seed=0)
+        cert = certify_submodel(sm, xb, lip)
+        for i, x in enumerate(xb):
+            one = certify_submodel(sm, x[None], lip)
+            assert one.margin[0] == pytest.approx(cert.margin[i], rel=1e-12, abs=0.0)
+            assert one.radius[0] == pytest.approx(cert.radius[i], rel=1e-12, abs=0.0)
 
 
 # -------------------------------------------------------------- certification
@@ -239,9 +312,9 @@ def test_margin_matches_scan_oracle(seed, n):
 
 def test_zero_margin_certifies_nothing():
     sm = SubModel("flat", flt.filter_spec("identity"), bias_net((1.0, 1.0)))
-    cert = certify_submodel(sm, X)
-    assert cert.margin == 0.0
-    assert cert.radius == 0.0
+    cert = certify_submodel(sm, np.stack([X, X]), sm.net.lipschitz_upper_bound(seed=0))
+    assert np.array_equal(cert.margin, [0.0, 0.0])
+    assert np.array_equal(cert.radius, [0.0, 0.0])
 
 
 def test_identity_weight_certificate_is_margin_over_sqrt2():
@@ -251,14 +324,15 @@ def test_identity_weight_certificate_is_margin_over_sqrt2():
     dense = net.layers[-1]
     dense.weight[:] = np.eye(4)
     dense.bias[:] = (1.0, 0.2, 0.0, -0.5)
-    x = np.full((2, 2, 1), 0.25)
+    xb = np.stack([np.full((2, 2, 1), 0.25), np.array([0.0, 0.9, 0.1, 0.3]).reshape(2, 2, 1)])
     sm = SubModel("eye", flt.filter_spec("identity"), net)
-    cert = certify_submodel(sm, x)
-    logits = x.ravel() + dense.bias
-    expected_margin = np.sort(logits)[-1] - np.sort(logits)[-2]
+    cert = certify_submodel(sm, xb, net.lipschitz_upper_bound(seed=0))
     assert cert.lipschitz == pytest.approx(1.0, rel=1e-9)
-    assert cert.margin == pytest.approx(expected_margin, rel=1e-12)
-    assert cert.radius == pytest.approx(expected_margin / math.sqrt(2), rel=1e-9)
+    for i, x in enumerate(xb):
+        logits = np.sort(x.ravel() + dense.bias)
+        expected_margin = logits[-1] - logits[-2]
+        assert cert.margin[i] == pytest.approx(expected_margin, rel=1e-12)
+        assert cert.radius[i] == pytest.approx(expected_margin / math.sqrt(2), rel=1e-9)
 
 
 def test_certified_ball_survives_random_sampling():
@@ -272,37 +346,39 @@ def test_certified_ball_survives_random_sampling():
     rng = np.random.default_rng(8)
     x = rng.uniform(0, 1, size=(5, 5, 1))
     sm = SubModel("probe", flt.filter_spec("identity"), net)
-    cert = certify_submodel(sm, x)
-    assert cert.radius > 0
+    radius = certify_submodel(sm, x[None], net.lipschitz_upper_bound(seed=0)).radius[0]
+    assert radius > 0
     z = flt.apply(sm.filter, x)
     label = int(net.classify_batch(z[None])[0])
     d = z.size
     for _ in range(500):
         v = rng.standard_normal(z.shape)
-        v *= cert.radius * rng.uniform() ** (1.0 / d) / np.linalg.norm(v)
+        v *= radius * rng.uniform() ** (1.0 / d) / np.linalg.norm(v)
         assert int(net.classify_batch((z + v)[None])[0]) == label
 
 
-def test_precomputed_lipschitz_matches_internal_power_iteration():
+def test_doubled_lipschitz_halves_the_radius():
     net = nn.build_network(
         [{"kind": "Flatten"}, {"kind": "Dense", "out_features": None}], (2, 2, 1), 4, seed=3
     )
     sm = SubModel("cached", flt.filter_spec("identity"), net)
-    x = np.full((2, 2, 1), 0.4)
-    fresh = certify_submodel(sm, x, power_seed=2)
-    cached = certify_submodel(sm, x, lipschitz=net.lipschitz_upper_bound(seed=2))
-    assert cached == fresh
-    doubled = certify_submodel(sm, x, lipschitz=2.0 * fresh.lipschitz)
-    assert doubled.radius == pytest.approx(fresh.radius / 2.0, rel=1e-12)
+    xb = np.stack([np.full((2, 2, 1), 0.4), np.full((2, 2, 1), 0.9)])
+    lip = net.lipschitz_upper_bound(seed=2)
+    cert = certify_submodel(sm, xb, lip)
+    doubled = certify_submodel(sm, xb, 2.0 * lip)
+    assert np.array_equal(doubled.margin, cert.margin)
+    assert doubled.radius == pytest.approx(cert.radius / 2.0, rel=1e-12)
 
 
 def test_pairwise_bound_identities():
-    flat = certify_submodel(SubModel("flat", flt.filter_spec("identity"), bias_net((1.0, 1.0))), X)
-    a = ensemble.RobustnessCertificate("a", 1.5, 2.0, 1.5 / (math.sqrt(2) * 2.0))
-    b = ensemble.RobustnessCertificate("b", 0.8, 5.0, 0.8 / (math.sqrt(2) * 5.0))
-    assert pairwise_bound(flat, a) == 0.0
+    flat_sm = SubModel("flat", flt.filter_spec("identity"), bias_net((1.0, 1.0)))
+    flat = certify_submodel(flat_sm, np.stack([X, X]), flat_sm.net.lipschitz_upper_bound(seed=0))
+    ma, mb = np.array([1.5, 0.3]), np.array([0.8, 0.0])
+    a = ensemble.RobustnessCertificate("a", ma, 2.0, ma / (math.sqrt(2) * 2.0))
+    b = ensemble.RobustnessCertificate("b", mb, 5.0, mb / (math.sqrt(2) * 5.0))
+    assert np.array_equal(pairwise_bound(flat, a), [0.0, 0.0])
     assert pairwise_bound(a, b) == pytest.approx(a.radius * b.radius, rel=1e-12)
-    assert pairwise_bound(a, b) == pytest.approx((1.5 * 0.8) / (2 * 2.0 * 5.0), rel=1e-12)
+    assert pairwise_bound(a, b) == pytest.approx([(1.5 * 0.8) / (2 * 2.0 * 5.0), 0.0], rel=1e-12)
     assert pairwise_bound(a, a) == pytest.approx(a.radius**2, rel=1e-12)
 
 
