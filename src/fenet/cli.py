@@ -10,17 +10,20 @@ byte-identical files. Epsilon fields are integers in 1/255 units.
 
 import argparse
 import copy
+import dataclasses
 import functools
 import hashlib
 import itertools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
 
 from . import attacks, data, ensemble, filters as flt, model_io, nn, sensitivity
+from .util import is_int, is_number
 
 DATA_DIR_ENV = "FENET_DATA_DIR"
 
@@ -80,46 +83,148 @@ class ConfigError(ValueError):
 
 
 # ------------------------------------------------------------- config plumbing
+# A rule checks one field: rule(path, value) raises ConfigError naming the
+# path, or the path of the item at fault inside the value.
 
 
-# Fields holding open key-value maps; their keys are validated later, not
-# against the defaults skeleton.
-_OPEN_FIELDS = {"filter_params"}
+def _expect(cond, message):
+    if not cond:
+        raise ConfigError(message)
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
-    out = copy.deepcopy(base)
-    for key, val in override.items():
+def _leaf(test, message):
+    """The rule that test(value) holds; a `{!r}` in the message shows the value."""
+    def rule(path, value):
+        if not test(value):
+            raise ConfigError(f"{path}: " + message.format(value))
+    return rule
+
+
+def _int(minimum=None, note=""):
+    """An integer >= minimum; with no minimum, the dataclass that owns the field checks its range."""
+    at_least = "" if minimum is None else f" >= {minimum}"
+    return _leaf(lambda v: is_int(v) and (minimum is None or v >= minimum), f"must be an integer{at_least}{note}")
+
+
+def _one_of(choices):
+    return _leaf(lambda v: v in choices, f"must be one of {', '.join(choices)}, got {{!r}}")
+
+
+def _or_null(rule):
+    return lambda path, value: value is None or rule(path, value)
+
+
+def _list_of(rule, empty=None):
+    """A list whose items each pass `rule` as path[i]; `empty` is the error for [] if [] is not allowed."""
+    def check(path, value):
+        _expect(isinstance(value, list), f"{path}: must be a list")
+        for i, item in enumerate(value):
+            rule(f"{path}[{i}]", item)
+        _expect(value or empty is None, f"{path}: {empty}")
+    return check
+
+
+_SEED = _int(0)  # the seeds: each CSV's provenance line names every field with this rule
+_PATH = _leaf(lambda v: isinstance(v, str) and v != "" and "\0" not in v, "must be a non-empty path")
+_NAME = _leaf(lambda v: isinstance(v, str) and re.fullmatch(r"[\w.-]+", v),
+              "must be a name of letters, digits, '_', '.' or '-'")
+_OBJECT = _leaf(lambda v: isinstance(v, dict), "must be an object")
+_FILTER = _one_of(tuple(flt.default_filters()))
+
+
+def _filter_params(path, value):
+    """An open map from filter name to parameters; FilterSpec checks the parameters."""
+    _OBJECT(path, value)
+    for name, params in value.items():
+        _FILTER(path, name)
+        _OBJECT(f"{path}.{name}", params)
+
+
+def _member(path, value):
+    _expect(isinstance(value, list) and len(value) == 2, f"{path}: expected [display_name, filter_name]")
+    _NAME(f"{path}[0]", value[0])
+    _FILTER(f"{path}[1]", value[1])
+
+
+# One rule per leaf of DEFAULT_CONFIG, keyed by its dotted path. _validate
+# adds the checks that span fields and builds what the commands build.
+_RULES = {
+    "seed": _SEED,
+    "out_dir": _PATH,
+    "tag": _NAME,
+    "dataset.kind": _one_of(("synth", "cifar10")),
+    "dataset.num_per_class": _int(1),
+    "dataset.test_per_class": _int(1),
+    "dataset.size": _int(8),
+    "dataset.train_seed": _SEED,
+    "dataset.test_seed": _SEED,
+    "dataset.dir": _or_null(_PATH),
+    "dataset.subset": _or_null(_int(0)),
+    "dataset.subset_seed": _SEED,
+    "filters": _list_of(_FILTER, "must list at least one filter"),
+    "filter_params": _filter_params,
+    "arch": _list_of(_OBJECT),  # nn.build_network checks each layer
+    "train.learning_rates": _leaf(lambda v: isinstance(v, list) and all(map(is_number, v)),
+                                  "must be a list of finite numbers"),
+    "train.epochs_per_rate": _int(),
+    "train.batch_size": _int(),
+    "train.rng_seed": _SEED,
+    "attack.method": _one_of(attacks.METHODS),
+    "attack.epsilons": _list_of(_int(0, " (1/255 units)"), "must be non-empty"),
+    "attack.norm": _leaf(lambda v: v in ("inf", "Inf", "2", 2, math.inf), "must be inf or 2, got {!r}"),
+    "attack.steps": _int(),
+    "attack.step_size": _leaf(lambda v: v is None or is_number(v), "must be null or a finite number"),
+    "attack.random_init": _leaf(lambda v: isinstance(v, bool), "must be true or false"),
+    "attack.bpda": _one_of(flt.BPDA_MODES),
+    "attack.loss_sign": _one_of(("ascend", "paper_literal")),
+    "attack.rng_seed": _SEED,
+    "attack.source": _FILTER,
+    "noise.epsilon_max": _int(1, " (1/255 units)"),
+    "noise.samples_per_image": _int(),
+    "noise.num_images": _int(),
+    "noise.rng_seed": _SEED,
+    "noise.select_k": _int(1),
+    "models_dir": _or_null(_PATH),
+    "ensemble.plan": _or_null(_one_of(tuple(ensemble.DEFAULT_ENSEMBLES))),
+    "ensemble.members": _or_null(_list_of(_member, "must be non-empty")),
+    "certify.num_inputs": _int(1),
+    "certify.power_seed": _SEED,
+}
+_SEED_FIELDS = tuple(path for path, rule in _RULES.items() if rule is _SEED)
+
+
+def _lookup(cfg, path: str):
+    return functools.reduce(dict.__getitem__, path.split("."), cfg)
+
+
+def _merge(cfg: dict, override: dict, path: str = "") -> None:
+    """Write `override` into `cfg`: a block key by key; a field, or any key inside an open map, whole."""
+    in_map = path.partition(".")[0] in _RULES
+    for key, value in override.items():
         here = f"{path}.{key}" if path else key
-        if key not in base:
-            if path in _OPEN_FIELDS:
-                out[key] = copy.deepcopy(val)
-                continue
-            raise ConfigError(f"{here}: unknown field")
-        if isinstance(base[key], dict) and isinstance(val, dict):
-            out[key] = _merge(base[key], val, here)
+        _expect(key in cfg or in_map, f"{here}: unknown field")
+        if here in _RULES or in_map:
+            cfg[key] = value
         else:
-            out[key] = copy.deepcopy(val)
-    return out
+            _expect(isinstance(value, dict), f"{here}: must be an object")
+            _merge(cfg[key], value, here)
 
 
 def _apply_override(cfg: dict, expr: str) -> None:
     path, eq, raw = expr.partition("=")
-    if not eq:
-        raise ConfigError(f"--set {expr!r}: expected dotted.path=value")
+    _expect(eq, f"--set {expr!r}: expected dotted.path=value")
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer too long to read: the text itself
         value = raw
+    parent, _, key = path.rpartition(".")
     node = cfg
-    keys = path.split(".")
-    for key in keys[:-1]:
-        if not isinstance(node.get(key), dict):
-            raise ConfigError(f"{path}: unknown field")
-        node = node[key]
-    if keys[-1] not in node:
-        raise ConfigError(f"{path}: unknown field")
-    node[keys[-1]] = value
+    for k in filter(None, parent.split(".")):  # makes a missing open-map entry; _merge rejects any other
+        node = node.setdefault(k, {}) if isinstance(node, dict) else None
+    _expect(isinstance(node, dict), f"{path}: unknown field")
+    if path not in _RULES and isinstance(DEFAULT_CONFIG.get(path), dict):
+        node[key] = copy.deepcopy(DEFAULT_CONFIG[path])  # an object replaces a block; omitted keys keep defaults
+    _merge(node, {key: value}, parent)
 
 
 def load_config(args) -> dict:
@@ -128,185 +233,95 @@ def load_config(args) -> dict:
         try:
             with open(args.config) as fh:
                 file_cfg = json.load(fh)
-        except OSError as e:
-            raise ConfigError(f"--config: {e}") from None
-        except json.JSONDecodeError as e:
+        except (OSError, ValueError) as e:  # unreadable, or not JSON in UTF-8
             raise ConfigError(f"--config: {args.config}: {e}") from None
-        if not isinstance(file_cfg, dict):
-            raise ConfigError(f"--config: {args.config}: top level must be an object")
-        cfg = _merge(cfg, file_cfg)
+        _expect(isinstance(file_cfg, dict), f"--config: {args.config}: top level must be an object")
+        _merge(cfg, file_cfg)
     for expr in args.overrides:
         _apply_override(cfg, expr)
-    if args.out_dir is not None:
-        cfg["out_dir"] = args.out_dir
-    if args.tag is not None:
-        cfg["tag"] = args.tag
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    flags = {"out_dir": args.out_dir, "tag": args.tag, "seed": args.seed}
+    cfg.update((key, value) for key, value in flags.items() if value is not None)
     if args.data_dir is not None:
         cfg["dataset"]["dir"] = args.data_dir
-    # A --set override can replace a whole sub-dict; re-merging over the
-    # defaults refills missing siblings and rejects unknown keys inside it.
-    cfg = _merge(DEFAULT_CONFIG, cfg)
     _validate(cfg)
     return cfg
 
 
-def _expect(cond, message):
-    if not cond:
-        raise ConfigError(message)
-
-
-def _expect_int(value, minimum, field, note=""):
-    # bool is an int subclass, but JSON true is no integer setting. A
-    # minimum of None leaves the range to the dataclass that owns the field.
-    at_least = "" if minimum is None else f" >= {minimum}"
-    _expect(isinstance(value, int) and not isinstance(value, bool)
-            and (minimum is None or value >= minimum),
-            f"{field}: must be an integer{at_least}{note}")
-
-
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
 def _validate(cfg: dict) -> None:
-    dcfg = cfg["dataset"]
-    _expect(dcfg["kind"] in ("synth", "cifar10"), f"dataset.kind: unknown kind {dcfg['kind']!r}")
-    if dcfg["kind"] == "synth":
-        _expect_int(dcfg["num_per_class"], 1, "dataset.num_per_class")
-        _expect_int(dcfg["test_per_class"], 1, "dataset.test_per_class")
-        _expect_int(dcfg["size"], 8, "dataset.size")
-    if dcfg["subset"] is not None:
-        _expect_int(dcfg["subset"], 0, "dataset.subset")
-    for label, path in _SEED_FIELDS:
-        _expect_int(_lookup(cfg, path), 0, label)
-    known = set(flt.default_filters())
-    for i, name in enumerate(cfg["filters"]):
-        _expect(name in known, f"filters[{i}]: unknown filter {name!r}")
-    _expect(len(cfg["filters"]) >= 1, "filters: must list at least one filter")
-    for name in cfg["filter_params"]:
-        _expect(name in known, f"filter_params.{name}: unknown filter")
-    acfg = cfg["attack"]
-    for i, eps in enumerate(acfg["epsilons"]):
-        _expect_int(eps, 0, f"attack.epsilons[{i}]", " (1/255 units)")
-    _expect(len(acfg["epsilons"]) >= 1, "attack.epsilons: must be non-empty")
-    _expect(acfg["source"] in cfg["filters"], "attack.source: must be one of the listed filters")
-    _expect(acfg["bpda"] in flt.BPDA_MODES, f"attack.bpda: must be identity or adjoint, got {acfg['bpda']!r}")
-    _expect(isinstance(acfg["random_init"], bool), "attack.random_init: must be true or false")
-    _expect(acfg["step_size"] is None or _is_number(acfg["step_size"]),
-            "attack.step_size: must be null or a finite number")
-    rates = cfg["train"]["learning_rates"]
-    _expect(isinstance(rates, list) and all(map(_is_number, rates)),
-            "train.learning_rates: must be a list of finite numbers")
-    ncfg = cfg["noise"]
-    _expect_int(ncfg["epsilon_max"], 1, "noise.epsilon_max", " (1/255 units)")
-    _expect_int(ncfg["select_k"], 1, "noise.select_k")
-    _expect(ncfg["select_k"] <= len(cfg["filters"]),
-            f"noise.select_k: must be <= the {len(cfg['filters'])} listed filters")
-    ecfg = cfg["ensemble"]
-    _expect(ecfg["plan"] is None or ecfg["plan"] in ensemble.DEFAULT_ENSEMBLES,
-            f"ensemble.plan: unknown plan {ecfg['plan']!r}")
-    _expect(ecfg["plan"] is not None or ecfg["members"],
+    """Each field's rule, the checks that span fields, then all that the commands build from the config."""
+    for path, rule in _RULES.items():
+        rule(path, _lookup(cfg, path))
+    filters = cfg["filters"]
+    _expect(cfg["attack"]["source"] in filters, "attack.source: must be one of the listed filters")
+    _expect(cfg["noise"]["select_k"] <= len(filters),
+            f"noise.select_k: must be <= the {len(filters)} listed filters")
+    members = cfg["ensemble"]["members"]
+    _expect(members is not None or cfg["ensemble"]["plan"] is not None,
             "ensemble.members: give members when plan is null")
-    if ecfg["members"] is not None:
-        seen = []
-        for i, pair in enumerate(ecfg["members"]):
-            _expect(isinstance(pair, (list, tuple)) and len(pair) == 2,
-                    f"ensemble.members[{i}]: expected [display_name, filter_name]")
-            # certify rows name each member by its display name
-            _expect(pair[0] not in seen, f"ensemble.members[{i}]: duplicate display name {pair[0]!r}")
-            seen.append(pair[0])
-            _expect(pair[1] in known, f"ensemble.members[{i}]: unknown filter {pair[1]!r}")
-    _expect_int(cfg["certify"]["num_inputs"], 1, "certify.num_inputs")
-    # Dataclass constructors own the numeric domain checks; the types are checked here.
-    for section, key in (("train", "epochs_per_rate"), ("train", "batch_size"), ("attack", "steps"),
-                         ("noise", "samples_per_image"), ("noise", "num_images")):
-        _expect_int(cfg[section][key], None, f"{section}.{key}")
+    names = [name for name, _ in members or ()]
+    for i, name in enumerate(names):
+        # certify rows name each member by its display name
+        _expect(names.index(name) == i, f"ensemble.members[{i}]: duplicate display name {name!r}")
+    _bank(cfg)
     _train_config(cfg)
-    for eps in acfg["epsilons"]:
+    for eps in cfg["attack"]["epsilons"]:
         _attack_config(cfg, eps)
-    _noise_config(cfg)
+    noise = _noise_config(cfg)
+    _expect(noise.samples_per_image * noise.num_images >= 2,
+            "noise: correlate needs samples_per_image x num_images >= 2")
+
+
+def _dataclass(cls, cfg, block: str, **per_255):
+    """cls from the block's same-named fields, `per_255` ones scaled from 1/255 units; errors name the block."""
+    values = {f.name: cfg[block][f.name] for f in dataclasses.fields(cls) if f.name not in per_255}
+    try:
+        return cls(**values, **{name: value / 255 for name, value in per_255.items()})
+    except (ArithmeticError, TypeError, ValueError) as e:
+        raise ConfigError(f"{block}: {e}") from None
 
 
 def _train_config(cfg) -> nn.TrainConfig:
-    t = cfg["train"]
-    try:
-        return nn.TrainConfig(
-            learning_rates=tuple(t["learning_rates"]),
-            epochs_per_rate=t["epochs_per_rate"],
-            batch_size=t["batch_size"],
-            rng_seed=t["rng_seed"],
-        )
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"train: {e}") from None
+    return _dataclass(nn.TrainConfig, cfg, "train")
 
 
 def _attack_config(cfg, eps_255: int) -> attacks.AttackConfig:
-    a = cfg["attack"]
-    try:
-        return attacks.AttackConfig(
-            method=a["method"],
-            radius=eps_255 / 255,
-            norm=a["norm"],
-            steps=a["steps"],
-            step_size=a["step_size"],
-            random_init=a["random_init"],
-            loss_sign=a["loss_sign"],
-            rng_seed=a["rng_seed"],
-        )
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"attack: {e}") from None
+    return _dataclass(attacks.AttackConfig, cfg, "attack", radius=eps_255)
 
 
 def _noise_config(cfg) -> sensitivity.NoiseConfig:
-    s = cfg["noise"]
-    try:
-        return sensitivity.NoiseConfig(
-            epsilon_max=s["epsilon_max"] / 255,
-            samples_per_image=s["samples_per_image"],
-            num_images=s["num_images"],
-            rng_seed=s["rng_seed"],
-        )
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"noise: {e}") from None
+    return _dataclass(sensitivity.NoiseConfig, cfg, "noise", epsilon_max=cfg["noise"]["epsilon_max"])
 
 
 # ----------------------------------------------------------- shared resources
 
 
-def _bank(cfg, names=None) -> dict:
-    """Default filter bank with filter_params overrides, keyed by `names`."""
+def _bank(cfg) -> dict:
+    """The default filter bank, each filter's parameters updated from filter_params."""
     bank = flt.default_filters()
     for name, params in cfg["filter_params"].items():
-        merged = dict(bank[name].params)
-        merged.update(params)
-        if "target" in merged:
-            merged["target"] = tuple(merged["target"])
         try:
-            bank[name] = flt.filter_spec(bank[name].kind, **merged)
-        except (TypeError, ValueError) as e:
+            bank[name] = flt.FilterSpec(bank[name].kind, {**bank[name].params, **params})
+        except ValueError as e:
             raise ConfigError(f"filter_params.{name}: {e}") from None
-    return {name: bank[name] for name in (cfg["filters"] if names is None else names)}
+    return bank
 
 
 def _correlate_bank(cfg) -> dict:
     """Ordered column -> spec map; a repeated filter gets a suffixed column."""
-    specs = _bank(cfg, names=list(dict.fromkeys(cfg["filters"])))
+    bank = _bank(cfg)
     out = {}
     for name in cfg["filters"]:
         key, n = name, 1
         while key in out:
             n += 1
             key = f"{name}_{n}"
-        out[key] = specs[name]
+        out[key] = bank[name]
     return out
 
 
 def _unique_filters(cfg) -> list:
     names = cfg["filters"]
-    if len(set(names)) != len(names):
-        raise ConfigError("filters: duplicate names; only the correlate command accepts duplicates")
+    _expect(len(set(names)) == len(names), "filters: duplicate names; only the correlate command accepts duplicates")
     return names
 
 
@@ -325,6 +340,7 @@ def _dataset(cfg, split: str):
         ds = train if split == "train" else test
     if dcfg["subset"] is not None:
         ds = data.subset(ds, min(dcfg["subset"], len(ds.images)), seed=dcfg["subset_seed"])
+        _expect(len(ds.images) > 0, "dataset.subset: leaves no images")
     return ds
 
 
@@ -353,42 +369,19 @@ def _load_submodel(cfg, bank, display_name, filter_name) -> ensemble.SubModel:
     return ensemble.SubModel(display_name, bank[filter_name], net, bpda=cfg["attack"]["bpda"])
 
 
-def _members(cfg) -> list:
-    """(display_name, filter_name) pairs; explicit members win over the plan."""
-    if cfg["ensemble"]["members"] is not None:
-        return [tuple(pair) for pair in cfg["ensemble"]["members"]]
-    return [tuple(pair) for pair in ensemble.DEFAULT_ENSEMBLES[cfg["ensemble"]["plan"]]]
-
-
 def _ensemble_submodels(cfg, bank) -> list:
-    return [_load_submodel(cfg, bank, disp, filt) for disp, filt in _members(cfg)]
+    """One sub-model per (display_name, filter_name) pair; explicit members win over the plan."""
+    pairs = cfg["ensemble"]["members"] or ensemble.DEFAULT_ENSEMBLES[cfg["ensemble"]["plan"]]
+    return [_load_submodel(cfg, bank, name, filter_name) for name, filter_name in pairs]
 
 
 # ------------------------------------------------------------- CSV provenance
 
-_SEED_FIELDS = (
-    ("seed", ("seed",)),
-    ("dataset.train_seed", ("dataset", "train_seed")),
-    ("dataset.test_seed", ("dataset", "test_seed")),
-    ("dataset.subset_seed", ("dataset", "subset_seed")),
-    ("train.rng_seed", ("train", "rng_seed")),
-    ("attack.rng_seed", ("attack", "rng_seed")),
-    ("noise.rng_seed", ("noise", "rng_seed")),
-    ("certify.power_seed", ("certify", "power_seed")),
-)
-
-
-def _lookup(cfg, path):
-    return functools.reduce(dict.__getitem__, path, cfg)
-
-
 def _provenance_line(cfg) -> str:
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(blob.encode()).hexdigest()
-    parts = [f"config sha256={digest}"]
-    for label, path in _SEED_FIELDS:
-        parts.append(f"{label}={_lookup(cfg, path)}")
-    return "# " + " ".join(parts) + "\n"
+    seeds = " ".join(f"{path}={_lookup(cfg, path)}" for path in _SEED_FIELDS)
+    return f"# config sha256={digest} {seeds}\n"
 
 
 def _write_outputs(cfg, command: str, bodies: dict) -> list:
@@ -448,10 +441,9 @@ def cmd_correlate(cfg) -> list:
     bank = _correlate_bank(cfg)
     ncfg = _noise_config(cfg)
     try:
-        samples = sensitivity.sample_sensitivities(bank, test_ds, ncfg)
+        matrix = sensitivity.pearson_matrix(sensitivity.sample_sensitivities(bank, test_ds, ncfg))
     except ValueError as e:
         raise ConfigError(f"noise: {e}") from None
-    matrix = sensitivity.pearson_matrix(samples)
     selected = sensitivity.select_min_correlated(matrix, k=cfg["noise"]["select_k"])
     print("selected minimal subset:", ", ".join(selected))
     return _write_outputs(cfg, "correlate", {"": sensitivity.correlation_csv(matrix)})
@@ -490,7 +482,7 @@ def cmd_transfer(cfg) -> list:
 
 def cmd_ensemble_eval(cfg) -> list:
     test_ds = _dataset(cfg, "test")
-    bank = _bank(cfg, names=[f for _, f in _members(cfg)])
+    bank = _bank(cfg)
     subs = _ensemble_submodels(cfg, bank)
     vote_ens = ensemble.Ensemble(subs, mode="vote")
     score_ens = ensemble.Ensemble(subs, mode="score")
@@ -512,7 +504,7 @@ def cmd_ensemble_eval(cfg) -> list:
 
 def cmd_certify(cfg) -> list:
     test_ds = _dataset(cfg, "test")
-    bank = _bank(cfg, names=[f for _, f in _members(cfg)])
+    bank = _bank(cfg)
     subs = _ensemble_submodels(cfg, bank)
     n = cfg["certify"]["num_inputs"]
     if n > len(test_ds.images):

@@ -18,20 +18,33 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import clamp01, round_half_up
+from .util import clamp01, is_int, is_number, round_half_up
 
 KINDS = ("identity", "discretize", "downsize", "grayscale", "octree", "lowpass", "highpass")
 LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114])
 BPDA_MODES = ("identity", "adjoint")
 
 
+def _two_sizes(t):
+    return isinstance(t, (tuple, list)) and len(t) == 2 and all(is_int(v) and v >= 1 for v in t)
+
+
+_SIGMA = (8.0, lambda s: is_number(s) and s > 0, "a finite number > 0")
+# Each kind's parameters: name -> (default, test, what the test asks for).
+_PARAMS = {
+    "downsize": {"target": (None, _two_sizes, "two integers >= 1, (H, W)")},
+    "octree": {
+        "max_colors": (16, lambda k: is_int(k) and k >= 2, "an integer >= 2"),
+        "depth": (7, lambda d: is_int(d) and 1 <= d <= 8, "an integer in [1, 8]"),
+    },
+    "lowpass": {"sigma": _SIGMA},  # in frequency pixels
+    "highpass": {"sigma": _SIGMA},
+}
+
+
 @dataclass(frozen=True)
 class FilterSpec:
-    """A filter kind plus its parameters.
-
-    Parameters by kind: downsize takes target=(H, W); octree takes
-    max_colors and depth; lowpass/highpass take sigma (frequency pixels).
-    """
+    """A filter kind plus its parameters, each checked by its rule in _PARAMS."""
 
     kind: str
     params: dict = field(default_factory=dict)
@@ -39,41 +52,20 @@ class FilterSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown filter kind {self.kind!r}; expected one of {KINDS}")
-        allowed = {
-            "downsize": {"target"},
-            "octree": {"max_colors", "depth"},
-            "lowpass": {"sigma"},
-            "highpass": {"sigma"},
-        }.get(self.kind, set())
-        extra = set(self.params) - allowed
+        rules = _PARAMS.get(self.kind, {})
+        extra = set(self.params) - set(rules)
         if extra:
             raise ValueError(f"{self.kind} filter does not accept parameters {sorted(extra)}")
-        if self.kind == "downsize":
-            t = self.params.get("target")
-            if t is None:
-                raise ValueError("downsize requires target=(H, W)")
-            th, tw = t
-            if th < 1 or tw < 1:
-                raise ValueError(f"downsize target must be >= 1, got {t}")
-        elif self.kind == "octree":
-            k = self.params.get("max_colors", 16)
-            d = self.params.get("depth", 7)
-            if k < 2:
-                raise ValueError(f"octree max_colors must be >= 2, got {k}")
-            if not 1 <= d <= 8:
-                raise ValueError(f"octree depth must be in [1, 8], got {d}")
-        elif self.kind in ("lowpass", "highpass"):
-            s = self.params.get("sigma", 8.0)
-            if not s > 0:
-                raise ValueError(f"{self.kind} sigma must be positive, got {s}")
+        for name, (default, test, wanted) in rules.items():
+            value = self.params.get(name, default)
+            if not test(value):
+                raise ValueError(f"{self.kind} {name} must be {wanted}, got {value!r}")
 
     def param(self, name, default=None):
         return self.params.get(name, default)
 
 
 def filter_spec(kind, **params) -> FilterSpec:
-    if kind == "downsize" and "target" in params:
-        params["target"] = tuple(int(v) for v in params["target"])
     return FilterSpec(kind, params)
 
 

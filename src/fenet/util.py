@@ -1,4 +1,7 @@
-"""Small shared helpers: seeded RNG streams, pixel clamping, half-up rounding."""
+"""Small shared helpers: seeded RNG streams, pixel clamping, half-up rounding, type tests."""
+
+import math
+import numbers
 
 import numpy as np
 
@@ -21,3 +24,16 @@ def clamp01(a: np.ndarray) -> np.ndarray:
 def round_half_up(a: np.ndarray) -> np.ndarray:
     # np.round ties to even; the pixel grid wants .5 to go up.
     return np.floor(a + 0.5)
+
+
+def is_int(v) -> bool:
+    """An integer of any kind but bool: JSON true is no count."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def is_number(v) -> bool:
+    """A real number that a float holds finitely: no bool, NaN, inf or huge int."""
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an int past the float range
+        return False

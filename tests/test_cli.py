@@ -3,9 +3,11 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fenet import cli, data, filters as flt, model_io, nn
 
@@ -360,3 +362,144 @@ def test_duplicate_filters_rejected_outside_correlate(tmp_path, capsys):
     rc = run_cli("train", tmp_path, "--set", 'filters=["identity","identity"]')
     assert rc == 2
     assert "duplicate" in capsys.readouterr().err
+
+
+def config_paths(node=cli.DEFAULT_CONFIG, prefix=""):
+    """(dotted path, default) for every block and field of the config."""
+    for key, value in node.items():
+        yield prefix + key, value
+        if isinstance(value, dict):
+            yield from config_paths(value, f"{prefix}{key}.")
+
+
+CONFIG_PATHS = {path for path, _ in config_paths()}
+LEAVES = sorted(path for path, value in config_paths() if not (isinstance(value, dict) and value))
+
+
+def test_rule_table_has_one_rule_per_leaf_and_the_seeds_in_provenance_order():
+    assert sorted(cli._RULES) == LEAVES
+    # the provenance line names the seeds in this order
+    assert cli._SEED_FIELDS == ("seed", "dataset.train_seed", "dataset.test_seed", "dataset.subset_seed",
+                                "train.rng_seed", "attack.rng_seed", "noise.rng_seed", "certify.power_seed")
+
+
+def load(*argv, command="correlate"):
+    return cli.load_config(cli._parser().parse_args([command, *argv]))
+
+
+def test_set_object_replaces_a_block_and_defaults_fill_it(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"train": {"rng_seed": 9, "batch_size": 2}}))
+    cfg = load("--config", str(path), "--set", 'train={"batch_size":4}')
+    assert cfg["train"] == dict(cli.DEFAULT_CONFIG["train"], batch_size=4)
+    cfg = load("--config", str(path), "--set", "train.batch_size=4")
+    assert cfg["train"] == dict(cli.DEFAULT_CONFIG["train"], rng_seed=9, batch_size=4)
+
+
+def test_set_into_filter_params_matches_the_whole_map_form():
+    one = load(*BASE, "--set", 'filter_params.lowpass={"sigma":3}')
+    whole = load(*BASE, "--set", 'filter_params={"downsize":{"target":[4,4]},"lowpass":{"sigma":3}}')
+    assert one == whole
+    assert one["filter_params"] == {"downsize": {"target": [4, 4]}, "lowpass": {"sigma": 3}}
+    assert load(*BASE, "--set", "filter_params.lowpass.sigma=3") == whole
+    deeper = load(*BASE, "--set", "filter_params.downsize.target=[2,3]")
+    assert deeper["filter_params"] == {"downsize": {"target": [2, 3]}}
+    with pytest.raises(cli.ConfigError, match=r"^filter_params: must be one of .*, got 'lowpas'$"):
+        load("--set", 'filter_params.lowpas={"sigma":3}')
+
+
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        ("downsize", '{"target":[4.7,4]}', "downsize target must be two integers >= 1, (H, W), got [4.7, 4]"),
+        ("downsize", '{"target":5}', "downsize target must be two integers >= 1, (H, W), got 5"),
+        ("octree16", '{"max_colors":1.5}', "octree max_colors must be an integer >= 2, got 1.5"),
+        ("octree16", '{"depth":7.5}', "octree depth must be an integer in [1, 8], got 7.5"),
+        ("lowpass", '{"sigma":"x"}', "lowpass sigma must be a finite number > 0, got 'x'"),
+        ("highpass", '{"sigma":true}', "highpass sigma must be a finite number > 0, got True"),
+    ],
+)
+def test_mistyped_filter_parameter_fails_at_config_load(tmp_path, capsys, name, params, message):
+    assert run_cli("train", tmp_path, "--set", f"filter_params.{name}={params}") == 2
+    assert capsys.readouterr().err == f"config error: filter_params.{name}: {message}\n"
+    assert not (tmp_path / "models").exists()
+
+
+def test_correlate_needs_two_noise_samples_at_config_load(tmp_path, capsys):
+    rc = run_cli("correlate", tmp_path, "--set", "noise.num_images=1", "--set", "noise.samples_per_image=1")
+    assert rc == 2
+    assert capsys.readouterr().err == "config error: noise: correlate needs samples_per_image x num_images >= 2\n"
+    assert not (tmp_path / "correlate_t.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, overrides, path",
+    [
+        ("correlate", ["attack.epsilons=5"], "attack.epsilons"),
+        ("correlate", ['filter_params={"lowpass":5}'], "filter_params.lowpass"),
+        ("correlate", ["ensemble.members=5"], "ensemble.members"),
+        ("correlate", ["dataset=5"], "dataset"),
+        ("train", ["arch=5"], "arch"),
+        ("correlate", ["ensemble.plan=[1]"], "ensemble.plan"),
+        ("correlate", ['filters=[["a"]]'], "filters[0]"),
+        ("correlate", ["out_dir=null"], "out_dir"),
+        ("train", ["models_dir=5"], "models_dir"),
+        ("correlate", ['tag="a/b"'], "tag"),
+        ("correlate", ['filters="identity"'], "filters"),
+        ("correlate", ["noise.num_images=1", "noise.samples_per_image=1"], "noise"),
+        ("correlate", ["train.rng_seed.x=1"], "train.rng_seed.x"),
+        ("correlate", ["seed=1" + "0" * 5000], "seed"),
+        ("train", ["dataset.subset=0"], "dataset.subset"),
+    ],
+)
+def test_bad_value_exits_2_naming_its_path(tmp_path, monkeypatch, capsys, command, overrides, path):
+    # no --out-dir or --tag: those flags would replace the out_dir and tag under test
+    monkeypatch.chdir(tmp_path)
+    argv = [command, *BASE]
+    for override in overrides:
+        argv += ["--set", override]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+# Arbitrary JSON, kept small: the fuzz is of the config boundary, not of sizes.
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+FILTER_PARAMS = [
+    f"filter_params.{name}.{param}"
+    for name, spec in sorted(flt.default_filters().items())
+    for param in [*flt._PARAMS.get(spec.kind, ()), "bogus"]
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_config(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "config.json"
+
+
+@pytest.mark.parametrize("target", LEAVES + FILTER_PARAMS)
+@settings(max_examples=30, deadline=None)
+@given(value=JSON, via_file=st.booleans())
+def test_any_json_in_one_field_loads_or_names_a_config_path(fuzz_config, target, value, via_file):
+    # load only: a legal config such as dataset.num_per_class=10**9 needs unbounded time to run
+    keys = target.split(".")
+    if via_file:
+        nested = value
+        for key in reversed(keys):
+            nested = {key: nested}
+        fuzz_config.write_text(json.dumps(nested))
+        argv = ["--config", str(fuzz_config)]
+    elif target in FILTER_PARAMS:  # one entry of the open map, holding the one parameter
+        argv = ["--set", f"{'.'.join(keys[:2])}={json.dumps({keys[2]: value})}"]
+    else:
+        argv = ["--set", f"{target}={json.dumps(value)}"]
+    try:
+        load(*argv)
+    except cli.ConfigError as e:
+        head = re.sub(r"\[\d+\]", "", str(e).split(": ", 1)[0])
+        assert head in CONFIG_PATHS or re.fullmatch(r"filter_params\.\w+", head), str(e)

@@ -96,6 +96,46 @@ def test_spec_validation():
         filter_spec("identity", sigma=3.0)
 
 
+@pytest.mark.parametrize(
+    "kind, params, message",
+    [
+        # a cast would run [4.7, 4] at 4x4 while the config says 4.7
+        ("downsize", {"target": [4.7, 4]}, "downsize target must be two integers >= 1, (H, W), got [4.7, 4]"),
+        ("downsize", {"target": 5}, "downsize target must be two integers >= 1, (H, W), got 5"),
+        ("downsize", {"target": (4,)}, "downsize target must be two integers >= 1, (H, W), got (4,)"),
+        ("downsize", {"target": (True, 4)}, "downsize target must be two integers >= 1, (H, W), got (True, 4)"),
+        ("downsize", {"target": "44"}, "downsize target must be two integers >= 1, (H, W), got '44'"),
+        ("downsize", {}, "downsize target must be two integers >= 1, (H, W), got None"),
+        ("octree", {"max_colors": 1.5}, "octree max_colors must be an integer >= 2, got 1.5"),
+        ("octree", {"max_colors": True}, "octree max_colors must be an integer >= 2, got True"),
+        ("octree", {"max_colors": "16"}, "octree max_colors must be an integer >= 2, got '16'"),
+        # 7.5 is inside [1, 8] but would fail in np.right_shift at apply time
+        ("octree", {"depth": 7.5}, "octree depth must be an integer in [1, 8], got 7.5"),
+        ("octree", {"depth": True}, "octree depth must be an integer in [1, 8], got True"),
+        ("lowpass", {"sigma": "x"}, "lowpass sigma must be a finite number > 0, got 'x'"),
+        ("highpass", {"sigma": True}, "highpass sigma must be a finite number > 0, got True"),
+        ("lowpass", {"sigma": math.inf}, "lowpass sigma must be a finite number > 0, got inf"),
+        ("highpass", {"sigma": math.nan}, "highpass sigma must be a finite number > 0, got nan"),
+        ("lowpass", {"sigma": None}, "lowpass sigma must be a finite number > 0, got None"),
+    ],
+)
+def test_spec_rejects_mistyped_parameters(kind, params, message):
+    with pytest.raises(ValueError) as info:
+        filter_spec(kind, **params)
+    assert str(info.value) == message
+
+
+def test_spec_keeps_integer_parameters_as_given():
+    # numpy integers are integers; a list target is kept, not truncated or cast
+    spec = filter_spec("downsize", target=[np.int64(3), 5])
+    assert spec.param("target") == [3, 5]
+    assert output_shape(spec, (8, 8, 3)) == (3, 5, 3)
+    assert apply(spec, rand_img(0)).shape == (3, 5, 3)
+    octree = filter_spec("octree", max_colors=np.int32(4), depth=np.int64(6))
+    assert distinct_colors(apply(octree, rand_img(1))) <= 4
+    assert apply(filter_spec("lowpass", sigma=np.float32(2.5)), rand_img(2)).shape == (8, 8, 3)
+
+
 def test_rejects_bad_images():
     with pytest.raises(ValueError):
         apply(filter_spec("identity"), np.zeros((4, 4)))
