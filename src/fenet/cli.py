@@ -306,8 +306,16 @@ def _bank(cfg) -> dict:
     return bank
 
 
-def _correlate_bank(cfg) -> dict:
-    """Ordered column -> spec map; a repeated filter gets a suffixed column."""
+def _output_shape(bank, name, in_shape) -> tuple:
+    """The shape filter `name` gives in_shape images; a parameter that does not fit them is a config error."""
+    try:
+        return flt.output_shape(bank[name], in_shape)
+    except ValueError as e:  # the message starts with the parameter at fault
+        raise ConfigError(f"filter_params.{name}.{e}") from None
+
+
+def _correlate_bank(cfg, in_shape) -> dict:
+    """Ordered column -> spec map for in_shape images; a repeated filter gets a suffixed column."""
     bank = _bank(cfg)
     out = {}
     for name in cfg["filters"]:
@@ -315,6 +323,7 @@ def _correlate_bank(cfg) -> dict:
         while key in out:
             n += 1
             key = f"{name}_{n}"
+        _output_shape(bank, name, in_shape)
         out[key] = bank[name]
     return out
 
@@ -357,22 +366,38 @@ def _models_dir(cfg) -> str:
     return cfg["models_dir"] or os.path.join(cfg["out_dir"], "models")
 
 
+def _check_output_dirs(cfg, command: str) -> None:
+    """Fail before any work if a directory the command writes names a file, or lies under one."""
+    dirs = {"out_dir": cfg["out_dir"]}
+    if command == "train":
+        dirs["models_dir"] = _models_dir(cfg)
+    for field, path in dirs.items():
+        head = os.path.abspath(path)
+        while not os.path.exists(head):
+            head = os.path.dirname(head)
+        _expect(os.path.isdir(head), f"{field}: {path}: not a directory")
+
+
 def _model_path(cfg, filter_name: str) -> str:
     return os.path.join(_models_dir(cfg), f"{filter_name}.fenet")
 
 
-def _load_submodel(cfg, bank, display_name, filter_name) -> ensemble.SubModel:
+def _load_submodel(cfg, bank, display_name, filter_name, in_shape) -> ensemble.SubModel:
+    """The saved model of filter_name, checked to take what the filter gives in_shape images."""
     path = _model_path(cfg, filter_name)
     if not os.path.isfile(path):
         raise ConfigError(f"models_dir: {path}: missing model file; run the train command first")
     net = model_io.load_network(path)
+    shape = _output_shape(bank, filter_name, in_shape)
+    _expect(net.input_shape == shape,
+            f"models_dir: {path}: the model takes {net.input_shape} inputs, the filter gives {shape}")
     return ensemble.SubModel(display_name, bank[filter_name], net, bpda=cfg["attack"]["bpda"])
 
 
-def _ensemble_submodels(cfg, bank) -> list:
+def _ensemble_submodels(cfg, bank, in_shape) -> list:
     """One sub-model per (display_name, filter_name) pair; explicit members win over the plan."""
     pairs = cfg["ensemble"]["members"] or ensemble.DEFAULT_ENSEMBLES[cfg["ensemble"]["plan"]]
-    return [_load_submodel(cfg, bank, name, filter_name) for name, filter_name in pairs]
+    return [_load_submodel(cfg, bank, name, filter_name, in_shape) for name, filter_name in pairs]
 
 
 # ------------------------------------------------------------- CSV provenance
@@ -422,7 +447,7 @@ def cmd_train(cfg) -> list:
     # every filter's network is built before any is trained, so an arch that
     # fits only some filter outputs fails before a model file is written
     nets = [
-        _build_network(cfg, flt.output_shape(bank[name], train_ds.image_shape),
+        _build_network(cfg, _output_shape(bank, name, train_ds.image_shape),
                        train_ds.num_classes, cfg["seed"] + i)
         for i, name in enumerate(names)
     ]
@@ -438,7 +463,7 @@ def cmd_train(cfg) -> list:
 
 def cmd_correlate(cfg) -> list:
     test_ds = _dataset(cfg, "test")
-    bank = _correlate_bank(cfg)
+    bank = _correlate_bank(cfg, test_ds.image_shape)
     ncfg = _noise_config(cfg)
     try:
         matrix = sensitivity.pearson_matrix(sensitivity.sample_sensitivities(bank, test_ds, ncfg))
@@ -465,7 +490,8 @@ def _attack_rows(cfg, targets: dict, test_ds) -> list:
 def cmd_attack(cfg) -> list:
     test_ds = _dataset(cfg, "test")
     bank = _bank(cfg)
-    targets = {name: _load_submodel(cfg, bank, name, name) for name in _unique_filters(cfg)}
+    targets = {name: _load_submodel(cfg, bank, name, name, test_ds.image_shape)
+               for name in _unique_filters(cfg)}
     rows = _attack_rows(cfg, targets, test_ds)
     return _write_outputs(cfg, "attack", {"": attacks.accuracy_table_csv(rows)})
 
@@ -473,8 +499,9 @@ def cmd_attack(cfg) -> list:
 def cmd_transfer(cfg) -> list:
     test_ds = _dataset(cfg, "test")
     bank = _bank(cfg)
-    source = _load_submodel(cfg, bank, cfg["attack"]["source"], cfg["attack"]["source"])
-    targets = {name: _load_submodel(cfg, bank, name, name) for name in _unique_filters(cfg)}
+    load = functools.partial(_load_submodel, cfg, bank, in_shape=test_ds.image_shape)
+    source = load(cfg["attack"]["source"], cfg["attack"]["source"])
+    targets = {name: load(name, name) for name in _unique_filters(cfg)}
     epsilons = [eps / 255 for eps in cfg["attack"]["epsilons"]]
     rows = attacks.transfer_eval(source, targets, test_ds, epsilons, _attack_config(cfg, cfg["attack"]["epsilons"][0]))
     return _write_outputs(cfg, "transfer", {"": attacks.accuracy_table_csv(rows)})
@@ -483,7 +510,7 @@ def cmd_transfer(cfg) -> list:
 def cmd_ensemble_eval(cfg) -> list:
     test_ds = _dataset(cfg, "test")
     bank = _bank(cfg)
-    subs = _ensemble_submodels(cfg, bank)
+    subs = _ensemble_submodels(cfg, bank, test_ds.image_shape)
     vote_ens = ensemble.Ensemble(subs, mode="vote")
     score_ens = ensemble.Ensemble(subs, mode="score")
     ids = np.arange(len(test_ds.images))
@@ -505,7 +532,7 @@ def cmd_ensemble_eval(cfg) -> list:
 def cmd_certify(cfg) -> list:
     test_ds = _dataset(cfg, "test")
     bank = _bank(cfg)
-    subs = _ensemble_submodels(cfg, bank)
+    subs = _ensemble_submodels(cfg, bank, test_ds.image_shape)
     n = cfg["certify"]["num_inputs"]
     if n > len(test_ds.images):
         raise ConfigError(f"certify.num_inputs: dataset has only {len(test_ds.images)} images")
@@ -558,6 +585,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args)
+        _check_output_dirs(cfg, args.command)
         paths = COMMANDS[args.command](cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -94,9 +94,12 @@ def _check_image(img) -> np.ndarray:
 
 
 def output_shape(spec: FilterSpec, in_shape) -> tuple:
+    """The (H, W, C) the filter gives an in_shape image; a ValueError names the parameter that cannot."""
     h, w, c = in_shape
     if spec.kind == "downsize":
         th, tw = spec.param("target")
+        if th > h or tw > w:
+            raise ValueError(f"target: ({th}, {tw}) exceeds the ({h}, {w}) images")
         return (th, tw, c)
     if spec.kind == "grayscale":
         return (h, w, 1)

@@ -15,11 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .util import rng_from
+from .util import is_int, rng_from
 
 
 class ShapeMismatchError(ValueError):
     """Input shape does not match what the network/layer expects."""
+
+
+def _count(name, v):
+    """v as an int if it is an integer >= 1; a bool, float or string is no count."""
+    if not (is_int(v) and v >= 1):
+        raise ValueError(f"{name} must be positive and an integer, got {v!r}")
+    return int(v)
 
 
 def _glorot_uniform(rng, shape, fan_in, fan_out):
@@ -129,9 +136,7 @@ class Dense(_Affine):
     kind = "Dense"
 
     def __init__(self, out_features, weight=None, bias=None):
-        if out_features < 1:
-            raise ValueError("out_features must be positive")
-        self.out_features = int(out_features)
+        self.out_features = _count("out_features", out_features)
         super().__init__(weight, bias)
 
     def bind(self, in_shape):
@@ -171,14 +176,14 @@ class Conv2D(_Affine):
     kind = "Conv2D"
 
     def __init__(self, out_channels, kernel, stride=1, padding="same", weight=None, bias=None):
-        kh, kw = (kernel, kernel) if isinstance(kernel, int) else kernel
-        if min(kh, kw) < 1 or stride < 1:
-            raise ValueError("kernel dims and stride must be >= 1")
+        dims = (kernel, kernel) if is_int(kernel) else kernel
+        if not (isinstance(dims, (list, tuple)) and len(dims) == 2):
+            raise ValueError(f"kernel must be an integer or a pair of integers, got {kernel!r}")
         if padding not in ("same", "valid"):
             raise ValueError(f"unknown padding {padding!r}")
-        self.out_channels = int(out_channels)
-        self.kh, self.kw = int(kh), int(kw)
-        self.stride = int(stride)
+        self.out_channels = _count("out_channels", out_channels)
+        self.kh, self.kw = (_count("kernel", d) for d in dims)
+        self.stride = _count("stride", stride)
         self.padding = padding
         self._pads = None
         super().__init__(weight, bias)
@@ -214,15 +219,17 @@ class Conv2D(_Affine):
 
     def _linear(self, xp):
         # One 2-D product per tap over all N*oh*ow output cells: a matmul on
-        # the 4-D slice would make one BLAS call per image row.
+        # the 4-D slice would make one BLAS call per image row. The (C, out)
+        # tap matrices are made contiguous once, not copied for every product.
         n, c = xp.shape[0], xp.shape[3]
         oh, ow, _ = self.out_shape
         s = self.stride
+        taps = np.ascontiguousarray(self.weight.transpose(2, 3, 1, 0))
         out = np.zeros((n * oh * ow, self.out_channels))
         for i in range(self.kh):
             for j in range(self.kw):
                 sl = xp[:, i : i + s * oh : s, j : j + s * ow : s, :]
-                out += sl.reshape(-1, c) @ self.weight[:, :, i, j].T
+                out += sl.reshape(-1, c) @ taps[i, j]
         return out.reshape(n, oh, ow, self.out_channels)
 
     def forward(self, x):
@@ -235,12 +242,11 @@ class Conv2D(_Affine):
         pt, pb, pl, pr = self._pads
         tap_shape = (xp_shape[0], oh, ow, xp_shape[3])
         g2 = gy.reshape(-1, self.out_channels)
+        taps = np.ascontiguousarray(self.weight.transpose(2, 3, 0, 1))  # (out, C) per tap
         gxp = np.zeros(xp_shape)
         for i in range(self.kh):
             for j in range(self.kw):
-                gxp[:, i : i + s * oh : s, j : j + s * ow : s, :] += (
-                    g2 @ self.weight[:, :, i, j]
-                ).reshape(tap_shape)
+                gxp[:, i : i + s * oh : s, j : j + s * ow : s, :] += (g2 @ taps[i, j]).reshape(tap_shape)
         h, w = self.in_shape[:2]
         return gxp[:, pt : pt + h, pl : pl + w, :]
 
@@ -250,12 +256,15 @@ class Conv2D(_Affine):
         if not need_params:
             return gx, None
         oh, ow, _ = self.out_shape
-        s = self.stride
+        s, c = self.stride, xp.shape[3]
+        # np.dot on the transposed view is the product np.tensordot made here,
+        # bit for bit, without its set-up per tap; `@` or a copy of g2t is not.
+        g2t = gy.reshape(-1, self.out_channels).T
         gw = np.empty_like(self.weight)
         for i in range(self.kh):
             for j in range(self.kw):
                 sl = xp[:, i : i + s * oh : s, j : j + s * ow : s, :]
-                gw[:, :, i, j] = np.tensordot(gy, sl, axes=([0, 1, 2], [0, 1, 2]))
+                gw[:, :, i, j] = np.dot(g2t, sl.reshape(-1, c))
         return gx, [gw, gy.sum(axis=(0, 1, 2))]
 
     def lipschitz_bound(self, rng):
@@ -315,12 +324,8 @@ class AvgPool2D(Layer):
     kind = "AvgPool2D"
 
     def __init__(self, pool, stride=None):
-        if pool < 1:
-            raise ValueError("pool must be >= 1")
-        self.pool = int(pool)
-        self.stride = int(stride) if stride is not None else int(pool)
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
+        self.pool = _count("pool", pool)
+        self.stride = self.pool if stride is None else _count("stride", stride)
 
     def bind(self, in_shape):
         if len(in_shape) != 3:
@@ -345,8 +350,16 @@ class AvgPool2D(Layer):
     def _adjoint(self, gy, in_hw):
         oh, ow, _ = self.out_shape
         k, s = self.pool, self.stride
-        gx = np.zeros((gy.shape[0], in_hw[0], in_hw[1], gy.shape[3]))
+        n, c = gy.shape[0], gy.shape[3]
+        gx = np.zeros((n, in_hw[0], in_hw[1], c))
         g = gy / (k * k)
+        if s == k:
+            # Disjoint windows: each covered cell gets its one add through an
+            # (N, oh, k, ow, k, C) view; rows and columns past oh*k, ow*k stay
+            # zero. `+=` into zeros, as in the tap loop, turns -0.0 into +0.0.
+            blocks = gx[:, : oh * k, : ow * k, :].reshape((n, oh, k, ow, k, c), copy=False)
+            blocks += g[:, :, None, :, None, :]
+            return gx
         for i in range(k):
             for j in range(k):
                 gx[:, i : i + s * oh : s, j : j + s * ow : s, :] += g

@@ -303,6 +303,11 @@ def test_set_override_does_not_leak_into_the_next_call(tmp_path, capsys):
         ('{"kind":"Dense","out_features":-1}', "out_features must be positive"),
         ('{"kind":"Dense","out_feature":4}', "out_feature"),
         ('{"kind":"Dense2"}', "unknown layer kind"),
+        ('{"kind":"Conv2D","out_channels":2,"kernel":3,"stride":1.5}', "stride must be positive and an integer, got 1.5"),
+        ('{"kind":"Conv2D","out_channels":2.5,"kernel":3}', "out_channels must be positive and an integer, got 2.5"),
+        ('{"kind":"Conv2D","out_channels":2,"kernel":[3,true]}', "kernel must be positive and an integer, got True"),
+        ('{"kind":"AvgPool2D","pool":true}', "pool must be positive and an integer, got True"),
+        ('{"kind":"Dense","out_features":"x"}', "out_features must be positive and an integer, got 'x'"),
     ],
 )
 def test_bad_arch_entry_is_a_config_error(tmp_path, capsys, entry, message):
@@ -450,6 +455,8 @@ def test_correlate_needs_two_noise_samples_at_config_load(tmp_path, capsys):
         ("correlate", ["train.rng_seed.x=1"], "train.rng_seed.x"),
         ("correlate", ["seed=1" + "0" * 5000], "seed"),
         ("train", ["dataset.subset=0"], "dataset.subset"),
+        ("train", ["filter_params.downsize.target=[16,16]"], "filter_params.downsize.target"),
+        ("correlate", ["filter_params.downsize.target=[4,9]"], "filter_params.downsize.target"),
     ],
 )
 def test_bad_value_exits_2_naming_its_path(tmp_path, monkeypatch, capsys, command, overrides, path):
@@ -462,6 +469,41 @@ def test_bad_value_exits_2_naming_its_path(tmp_path, monkeypatch, capsys, comman
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "command, out_dir, models_dir, blocker, error",
+    [
+        ("correlate", "out", None, "out", "out_dir: out"),
+        ("correlate", "out/sub", None, "out", "out_dir: out/sub"),  # under the file
+        ("train", "out", None, "out", "out_dir: out"),
+        ("train", "out", "m", "m", "models_dir: m"),
+        ("train", "out", None, "out/models", "models_dir: out/models"),  # the default, out_dir/models
+    ],
+)
+def test_output_dir_that_names_a_file_fails_before_any_work(tmp_path, monkeypatch, capsys, command, out_dir,
+                                                            models_dir, blocker, error):
+    monkeypatch.chdir(tmp_path)
+    os.makedirs(os.path.dirname(blocker) or ".", exist_ok=True)
+    with open(blocker, "w") as fh:
+        fh.write("x")
+    argv = [command, *BASE, "--out-dir", out_dir, "--tag", "t"]
+    if models_dir:
+        argv += ["--set", f"models_dir={json.dumps(models_dir)}"]
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {error}: not a directory\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_model_that_does_not_take_the_filter_output_is_a_config_error(run_dir, capsys):
+    # the run_dir models take 8x8 images; 12x12 ones reach the identity model unchanged
+    rc = run_cli("attack", run_dir, "--set", "dataset.size=12", "--set", 'attack={"epsilons":[4],"steps":1}')
+    assert rc == 2
+    path = run_dir / "models" / "identity.fenet"
+    assert capsys.readouterr().err == (
+        f"config error: models_dir: {path}: the model takes (8, 8, 3) inputs, the filter gives (12, 12, 3)\n"
+    )
 
 
 # Arbitrary JSON, kept small: the fuzz is of the config boundary, not of sizes.

@@ -120,9 +120,17 @@ def _write_model(path, header, params=b""):
         ([{"kind": "Flatten"}, {"kind": "Dense"}], 2),
         ([{"kind": "Dense", "out_features": 2}], 2),
         ([{"kind": "Flatten"}, {"kind": "Dense", "out_features": 2}], 3),
+        ([{"kind": "Conv2D", "out_channels": 1, "kernel": [1, 1], "stride": 1.5, "padding": "same"},
+          {"kind": "Flatten"}, {"kind": "Dense", "out_features": 2}], 2),
+        ([{"kind": "Conv2D", "out_channels": 1.0, "kernel": [1, 1], "stride": 1, "padding": "same"},
+          {"kind": "Flatten"}, {"kind": "Dense", "out_features": 2}], 2),
+        ([{"kind": "AvgPool2D", "pool": True, "stride": 1},
+          {"kind": "Flatten"}, {"kind": "Dense", "out_features": 2}], 2),
+        ([{"kind": "Flatten"}, {"kind": "Dense", "out_features": "2"}], 2),
     ],
     ids=["negative-out-features", "unknown-padding", "unknown-kind", "missing-field",
-         "shape-mismatch", "class-count-mismatch"],
+         "shape-mismatch", "class-count-mismatch", "fractional-stride", "float-out-channels",
+         "bool-pool", "string-out-features"],
 )
 def test_bad_header_error_names_the_file(tmp_path, layers, num_classes):
     path = tmp_path / "bad.fenet"

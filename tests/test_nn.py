@@ -2,7 +2,7 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fenet.nn import (
     AvgPool2D,
@@ -78,6 +78,54 @@ def tap_loop_input_grad(conv, gy, weight):
         for j in range(conv.kw):
             gxp[:, i : i + s * oh : s, j : j + s * ow : s, :] += gy @ weight[:, :, i, j]
     return gxp[:, pt : pt + h, pl : pl + w, :]
+
+
+def strided_tap_linear(conv, xp):
+    """Conv2D's linear part as one 2-D product per tap with the strided weight view
+    `weight[:, :, i, j]`: the bits the layer's contiguous tap matrices must keep."""
+    n, c = xp.shape[0], xp.shape[3]
+    oh, ow, oc = conv.out_shape
+    s = conv.stride
+    out = np.zeros((n * oh * ow, oc))
+    for i in range(conv.kh):
+        for j in range(conv.kw):
+            sl = xp[:, i : i + s * oh : s, j : j + s * ow : s, :]
+            out += sl.reshape(-1, c) @ conv.weight[:, :, i, j].T
+    return out.reshape(n, oh, ow, oc)
+
+
+def strided_tap_input_grad(conv, gy, xp_shape):
+    """Adjoint of `strided_tap_linear`, made the same way, then cropped to the input."""
+    oh, ow, oc = conv.out_shape
+    h, w, _ = conv.in_shape
+    pt, _, pl, _ = conv._pads
+    s = conv.stride
+    g2 = gy.reshape(-1, oc)
+    gxp = np.zeros(xp_shape)
+    for i in range(conv.kh):
+        for j in range(conv.kw):
+            tap = (g2 @ conv.weight[:, :, i, j]).reshape(xp_shape[0], oh, ow, xp_shape[3])
+            gxp[:, i : i + s * oh : s, j : j + s * ow : s, :] += tap
+    return gxp[:, pt : pt + h, pl : pl + w, :]
+
+
+def tap_loop_pool_adjoint(pool, gy):
+    """AvgPool2D's adjoint as k*k strided adds of gy / k^2 into zeros, one per window tap."""
+    oh, ow, _ = pool.out_shape
+    h, w, c = pool.in_shape
+    k, s = pool.pool, pool.stride
+    gx = np.zeros((gy.shape[0], h, w, c))
+    g = gy / (k * k)
+    for i in range(k):
+        for j in range(k):
+            gx[:, i : i + s * oh : s, j : j + s * ow : s, :] += g
+    return gx
+
+
+def assert_bits_equal(got, want):
+    """The same values and the same sign on every zero."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def assert_sum_close(got, want, scale, rtol=1e-12):
@@ -530,6 +578,56 @@ def test_conv_matches_tap_loop_oracle(batch, h, w, c, out, kh, kw, stride, paddi
             sl = xp[:, i : i + s * oh : s, j : j + s * ow : s, :]
             assert np.array_equal(gw[:, :, i, j], np.tensordot(gy, sl, axes=([0, 1, 2], [0, 1, 2])))
     assert np.array_equal(gb, gy.sum(axis=(0, 1, 2)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    batch=st.integers(0, 5), h=st.integers(1, 12), w=st.integers(1, 12), c=st.integers(1, 4),
+    out=st.integers(1, 8), kh=st.integers(1, 5), kw=st.integers(1, 5), stride=st.integers(1, 3),
+    padding=st.sampled_from(["same", "valid"]), seed=st.integers(0, 2**32 - 1),
+)
+def test_conv_matches_strided_weight_products_bit_for_bit(batch, h, w, c, out, kh, kw, stride, padding, seed):
+    # With one output cell (N*oh*ow = 1) BLAS takes its one-row path, whose
+    # last bit may depend on the weight's layout; the oracle test above covers it.
+    if padding == "valid":
+        kh, kw = min(kh, h), min(kw, w)
+    conv = Conv2D(out, (kh, kw), stride=stride, padding=padding)
+    conv.bind((h, w, c))
+    oh, ow, _ = conv.out_shape
+    assume(batch * oh * ow >= 2)
+    rng = rng_from(seed)
+    conv.init_params(rng)
+    y, xp = conv.forward(rng.normal(size=(batch, h, w, c)))
+    assert_bits_equal(y, strided_tap_linear(conv, xp) + conv.bias)
+    gy = rng.normal(size=y.shape)
+    gx, _ = conv.backward(xp, gy, need_params=False)
+    assert_bits_equal(gx, strided_tap_input_grad(conv, gy, xp.shape))
+
+
+# ---------------------------------------------------------------- AvgPool2D
+
+@settings(deadline=None, max_examples=300)
+@given(
+    batch=st.integers(0, 4), k=st.integers(1, 4), step=st.integers(0, 3), h=st.integers(0, 9),
+    w=st.integers(0, 9), c=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+)
+@example(batch=2, k=2, step=0, h=0, w=2, c=2, seed=1)  # stride == pool, sizes that divide
+@example(batch=2, k=2, step=0, h=1, w=3, c=2, seed=2)  # stride == pool, sizes that do not
+@example(batch=2, k=3, step=1, h=2, w=4, c=1, seed=3)  # overlapping windows
+@example(batch=0, k=2, step=0, h=1, w=0, c=3, seed=4)  # empty batch
+def test_avgpool_adjoint_matches_tap_loop_bit_for_bit(batch, k, step, h, w, c, seed):
+    # stride = pool - step (windows overlap when step > 0); the input is
+    # k + h by k + w; a third of the upstream cells are signed zeros
+    stride = max(k - step, 1)
+    pool = AvgPool2D(k, stride=stride)
+    pool.bind((k + h, k + w, c))
+    rng = rng_from(seed)
+    gy = rng.normal(size=(batch,) + pool.out_shape)
+    gy[rng.random(gy.shape) < 1 / 3] = 0.0
+    gy[rng.random(gy.shape) < 1 / 2] *= -1
+    gx, pg = pool.backward(None, gy)
+    assert pg == []
+    assert_bits_equal(gx, tap_loop_pool_adjoint(pool, gy))
 
 
 # ---------------------------------------------------------------- Lipschitz
