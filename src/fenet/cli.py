@@ -373,7 +373,7 @@ def _check_output_dirs(cfg, command: str) -> None:
         dirs["models_dir"] = _models_dir(cfg)
     for field, path in dirs.items():
         head = os.path.abspath(path)
-        while not os.path.exists(head):
+        while not os.path.lexists(head):
             head = os.path.dirname(head)
         _expect(os.path.isdir(head), f"{field}: {path}: not a directory")
 

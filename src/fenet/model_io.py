@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from .nn import Network, layer_from_header
+from .util import is_int
 
 MAGIC = b"FENET1"
 
@@ -87,18 +88,14 @@ def load_network(path) -> Network:
         raise ModelFormatError(f"{path}: bad header ({e})") from e
 
 
-def _positive_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
-
-
 def _bind_header(header):
     """(layers bound to the input shape, input shape, class count) from a parsed header."""
     if not isinstance(header, dict) or not isinstance(header.get("layers"), list):
         raise ValueError("expected an object with a layers list")
     input_shape, num_classes = header["input_shape"], header["num_classes"]
-    if not (isinstance(input_shape, list) and input_shape and all(map(_positive_int, input_shape))):
+    if not (isinstance(input_shape, list) and input_shape and all(is_int(d) and d >= 1 for d in input_shape)):
         raise ValueError(f"input_shape must be a list of positive integers, got {input_shape!r}")
-    if not _positive_int(num_classes):
+    if not (is_int(num_classes) and num_classes >= 1):
         raise ValueError(f"num_classes must be a positive integer, got {num_classes!r}")
     layers = [layer_from_header(h) for h in header["layers"]]
     shape = tuple(input_shape)

@@ -357,7 +357,7 @@ class AvgPool2D(Layer):
             # Disjoint windows: each covered cell gets its one add through an
             # (N, oh, k, ow, k, C) view; rows and columns past oh*k, ow*k stay
             # zero. `+=` into zeros, as in the tap loop, turns -0.0 into +0.0.
-            blocks = gx[:, : oh * k, : ow * k, :].reshape((n, oh, k, ow, k, c), copy=False)
+            blocks = gx[:, : oh * k, : ow * k, :].reshape((n, oh, k, ow, k, c))
             blocks += g[:, :, None, :, None, :]
             return gx
         for i in range(k):

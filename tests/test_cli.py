@@ -479,14 +479,20 @@ def test_bad_value_exits_2_naming_its_path(tmp_path, monkeypatch, capsys, comman
         ("train", "out", None, "out", "out_dir: out"),
         ("train", "out", "m", "m", "models_dir: m"),
         ("train", "out", None, "out/models", "models_dir: out/models"),  # the default, out_dir/models
+        ("correlate", "out", None, "out -> gone", "out_dir: out"),  # a dangling symlink
+        ("train", "out", "m", "m -> gone", "models_dir: m"),
     ],
 )
 def test_output_dir_that_names_a_file_fails_before_any_work(tmp_path, monkeypatch, capsys, command, out_dir,
                                                             models_dir, blocker, error):
     monkeypatch.chdir(tmp_path)
+    blocker, _, link_target = blocker.partition(" -> ")
     os.makedirs(os.path.dirname(blocker) or ".", exist_ok=True)
-    with open(blocker, "w") as fh:
-        fh.write("x")
+    if link_target:
+        os.symlink(link_target, blocker)
+    else:
+        with open(blocker, "w") as fh:
+            fh.write("x")
     argv = [command, *BASE, "--out-dir", out_dir, "--tag", "t"]
     if models_dir:
         argv += ["--set", f"models_dir={json.dumps(models_dir)}"]

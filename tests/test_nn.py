@@ -2,7 +2,7 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fenet.nn import (
     AvgPool2D,
@@ -573,35 +573,17 @@ def test_conv_matches_tap_loop_oracle(batch, h, w, c, out, kh, kw, stride, paddi
                      tap_loop_input_grad(conv, np.abs(gy), aw))
     s = conv.stride
     oh, ow, _ = conv.out_shape
+    # Bit for bit against the strided weight[:, :, i, j] products, except with
+    # one output cell (N*oh*ow = 1): there BLAS takes its one-row path, whose
+    # last bit may depend on the weight's layout.
+    if batch * oh * ow >= 2:
+        assert_bits_equal(y, strided_tap_linear(conv, xp) + conv.bias)
+        assert_bits_equal(gx, strided_tap_input_grad(conv, gy, xp.shape))
     for i in range(kh):
         for j in range(kw):
             sl = xp[:, i : i + s * oh : s, j : j + s * ow : s, :]
             assert np.array_equal(gw[:, :, i, j], np.tensordot(gy, sl, axes=([0, 1, 2], [0, 1, 2])))
     assert np.array_equal(gb, gy.sum(axis=(0, 1, 2)))
-
-
-@settings(deadline=None, max_examples=300)
-@given(
-    batch=st.integers(0, 5), h=st.integers(1, 12), w=st.integers(1, 12), c=st.integers(1, 4),
-    out=st.integers(1, 8), kh=st.integers(1, 5), kw=st.integers(1, 5), stride=st.integers(1, 3),
-    padding=st.sampled_from(["same", "valid"]), seed=st.integers(0, 2**32 - 1),
-)
-def test_conv_matches_strided_weight_products_bit_for_bit(batch, h, w, c, out, kh, kw, stride, padding, seed):
-    # With one output cell (N*oh*ow = 1) BLAS takes its one-row path, whose
-    # last bit may depend on the weight's layout; the oracle test above covers it.
-    if padding == "valid":
-        kh, kw = min(kh, h), min(kw, w)
-    conv = Conv2D(out, (kh, kw), stride=stride, padding=padding)
-    conv.bind((h, w, c))
-    oh, ow, _ = conv.out_shape
-    assume(batch * oh * ow >= 2)
-    rng = rng_from(seed)
-    conv.init_params(rng)
-    y, xp = conv.forward(rng.normal(size=(batch, h, w, c)))
-    assert_bits_equal(y, strided_tap_linear(conv, xp) + conv.bias)
-    gy = rng.normal(size=y.shape)
-    gx, _ = conv.backward(xp, gy, need_params=False)
-    assert_bits_equal(gx, strided_tap_input_grad(conv, gy, xp.shape))
 
 
 # ---------------------------------------------------------------- AvgPool2D
