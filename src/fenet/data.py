@@ -4,12 +4,13 @@ Pixels are normalized to [0,1] by /255 at load time and never standardized;
 filter arithmetic and attack radii are defined on the raw pixel scale.
 """
 
+import functools
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .util import clamp01, rng_from
+from .util import rng_from
 
 CIFAR10_CLASSES = (
     "airplane", "automobile", "bird", "cat", "deer",
@@ -113,8 +114,17 @@ def load_cifar10(dir_path):
 SYNTH_CLASSES = ("hbar", "vbar", "disk", "checker")
 
 
-def _synth_pattern(cls: int, s: int, rng) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _grid(s: int):
+    """The row and column index grids of an s x s image, built once per size."""
     yy, xx = np.mgrid[0:s, 0:s]
+    yy.setflags(write=False)
+    xx.setflags(write=False)
+    return yy, xx
+
+
+def _synth_pattern(cls: int, s: int, rng) -> np.ndarray:
+    yy, xx = _grid(s)
     base = np.zeros((s, s))
     if cls == 0:
         c = rng.integers(s // 4, 3 * s // 4 + 1)
@@ -141,20 +151,17 @@ def synth_shapes(num_per_class: int, size: int = 16, seed: int = 0) -> Dataset:
     if size < 8:
         raise ValueError(f"size must be >= 8, got {size}")
     rng = rng_from(seed, 0x53594E)
-    images = np.empty((4 * num_per_class, size, size, 3))
-    labels = np.empty(4 * num_per_class, dtype=np.intp)
-    i = 0
-    for cls in range(4):
-        for _ in range(num_per_class):
-            base = _synth_pattern(cls, size, rng)
-            lo = rng.uniform(0.1, 0.3)
-            hi = rng.uniform(0.7, 0.9)
-            tint = rng.uniform(0.75, 1.0, size=3)
-            img = (lo + base * (hi - lo))[..., None] * tint
-            img += rng.normal(0.0, 0.06, size=(size, size, 3))
-            images[i] = clamp01(img)
-            labels[i] = cls
-            i += 1
+    labels = np.repeat(np.arange(4), num_per_class)
+    images = np.empty((len(labels), size, size, 3))
+    for img, cls in zip(images, labels):
+        base = _synth_pattern(cls, size, rng)
+        lo = rng.uniform(0.1, 0.3)
+        hi = rng.uniform(0.7, 0.9)
+        tint = rng.uniform(0.75, 1.0, size=3)
+        np.multiply((lo + base * (hi - lo))[..., None], tint, out=img)
+        img += rng.normal(0.0, 0.06, size=(size, size, 3))
+    # the clamp is elementwise, so one pass over the batch gives each image's bits
+    np.clip(images, 0.0, 1.0, out=images)
     return Dataset(images, labels, num_classes=4, class_names=SYNTH_CLASSES)
 
 

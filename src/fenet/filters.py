@@ -292,13 +292,18 @@ def _octree_chunk(imgs, max_colors, depth):
     morton >>= 3 * (8 - depth)
     # leaves: each image's cells at the working depth, sorted by image index
     # (above bit 24), then Morton code; colors differing below `depth` share
-    # a cell. A cell's first pixel orders it as its first-appearing color would.
-    keys, seq, cell, count = np.unique(
-        np.repeat(np.arange(n, dtype=np.int64) << 24, h * w) | morton,
-        return_index=True, return_inverse=True, return_counts=True,
-    )
-    sums = np.zeros((len(keys), 3), dtype=np.int64)
-    np.add.at(sums, cell, codes)
+    # a cell. A cell's first pixel orders it as its first-appearing color would:
+    # a stable sort puts each cell's pixels in image order.
+    pixel_keys = np.repeat(np.arange(n, dtype=np.int64) << 24, h * w) | morton
+    order = np.argsort(pixel_keys, kind="stable")
+    sorted_keys = pixel_keys[order]
+    start = np.ones(len(order), dtype=bool)
+    start[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    kstart = np.flatnonzero(start)
+    keys, seq, count = sorted_keys[kstart], order[kstart], np.diff(kstart, append=len(order))
+    cell = np.empty_like(order)
+    cell[order] = np.cumsum(start) - 1
+    sums = np.add.reduceat(codes[order], kstart)  # int64: exact in any order
     owner, keys = keys >> 24, keys & 0xFFFFFF
 
     # fold each image `up` levels: the most that leave it over max_colors cells
@@ -389,9 +394,10 @@ def frequency_filter(img, sigma: float, mode: str, clamp: bool = True) -> np.nda
     mask = _spectral_mask(*img.shape[-3:-1], sigma, mode)
 
     def masked(chunk):
-        spectrum = np.fft.fft2(chunk, axes=(1, 2))
+        # fft2/ifft2 over axes (1, 2) run exactly these 1-D passes, last axis first
+        spectrum = np.fft.fft(np.fft.fft(chunk, axis=2), axis=1)
         spectrum *= mask
-        return np.fft.ifft2(spectrum, axes=(1, 2)).real
+        return np.fft.ifft(np.fft.ifft(spectrum, axis=2), axis=1).real
 
     # one FFT pair per chunk of images: a whole-batch spectrum would hold
     # complex copies of every image at once

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .util import is_int, rng_from
+from .util import is_int, l2norm, rng_from
 
 
 class ShapeMismatchError(ValueError):
@@ -42,20 +42,20 @@ def power_iteration(apply_fn, adjoint_fn, in_shape, rng, max_iter=200, tol=1e-6)
     `rng`, so results are reproducible.
     """
     v = rng.standard_normal(in_shape)
-    nv = np.linalg.norm(v)
+    nv = l2norm(v)
     if nv == 0:
         v = np.ones(in_shape)
-        nv = np.linalg.norm(v)
+        nv = l2norm(v)
     v /= nv
     sigma_prev = 0.0
     sigma = 0.0
     for _ in range(max_iter):
         u = apply_fn(v)
-        sigma = float(np.linalg.norm(u))
+        sigma = float(l2norm(u))
         if sigma == 0.0:
             return 0.0
         w = adjoint_fn(u)
-        nw = np.linalg.norm(w)
+        nw = l2norm(w)
         if nw == 0.0:
             break
         v = w / nw
@@ -214,7 +214,10 @@ class Conv2D(_Affine):
     def _pad(self, x):
         pt, pb, pl, pr = self._pads
         if pt or pb or pl or pr:
-            return np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+            n, h, w, c = x.shape
+            xp = np.zeros((n, pt + h + pb, pl + w + pr, c), dtype=x.dtype)
+            xp[:, pt : pt + h, pl : pl + w] = x
+            return xp
         return x
 
     def _linear(self, xp):
@@ -271,19 +274,21 @@ class Conv2D(_Affine):
         # Spectral norm of the conv operator itself, not of the flattened kernel.
         # Row r of `idx` lists the flat input cells under output cell r's
         # window in (c, kh, kw) order, the order of the kernel's columns;
-        # padding cells point at index n, a zero appended to the input.
+        # padding cells point at index n, a zero after the input in `flat`.
         h, w, c = self.in_shape
         oh, ow, _ = self.out_shape
         pt, pb, pl, pr = self._pads
         s, n = self.stride, h * w * c
-        cells = np.pad(np.arange(n).reshape(h, w, c), ((pt, pb), (pl, pr), (0, 0)),
-                       constant_values=n)
+        cells = np.full((pt + h + pb, pl + w + pr, c), n)
+        cells[pt : pt + h, pl : pl + w] = np.arange(n).reshape(h, w, c)
         windows = sliding_window_view(cells, (self.kh, self.kw), axis=(0, 1))
         idx = windows[: s * oh : s, : s * ow : s].reshape(oh * ow, -1)
         wm = self.weight.reshape(self.out_channels, -1)
+        flat = np.zeros(n + 1)
 
         def apply_fn(v):
-            return np.append(v.ravel(), 0.0)[idx] @ wm.T
+            flat[:n] = v.ravel()
+            return flat[idx] @ wm.T
 
         def adjoint_fn(u):
             return np.bincount(idx.ravel(), weights=(u @ wm).ravel(), minlength=n + 1)[:n]

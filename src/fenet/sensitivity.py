@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from . import filters as flt
-from .util import clamp01, rng_from
+from .util import clamp01, l2norm, rng_from
 
 
 @dataclass
@@ -76,7 +76,7 @@ def sample_sensitivities(filter_bank: dict, dataset, cfg: NoiseConfig) -> list:
             out = flt.apply_batch(spec, batch)
             # one norm per sample: a norm along an axis sums in another order
             for k in range(cfg.samples_per_image):
-                values[k, j] = np.linalg.norm(out[1 + k] - out[0])
+                values[k, j] = l2norm(out[1 + k] - out[0])
         samples.extend(
             SensitivitySample(image_id, k, values[k], names) for k in range(cfg.samples_per_image)
         )

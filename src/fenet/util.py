@@ -26,6 +26,16 @@ def round_half_up(a: np.ndarray) -> np.ndarray:
     return np.floor(a + 0.5)
 
 
+def l2norm(a: np.ndarray):
+    """The Euclidean norm of a float array's entries, bit for bit np.linalg.norm(a).
+
+    It is the path np.linalg.norm takes for a real array with no ord or
+    axis, without its dispatch: the dot of the entries in memory order.
+    """
+    f = a.ravel(order="K")
+    return np.sqrt(f.dot(f))
+
+
 def is_int(v) -> bool:
     """An integer of any kind but bool: JSON true is no count."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)

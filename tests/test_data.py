@@ -5,6 +5,7 @@ from fenet.data import (
     CIFAR10_CLASSES,
     Dataset,
     DatasetFormatError,
+    _grid,
     load_cifar10,
     read_cifar_batch,
     subset,
@@ -140,6 +141,55 @@ def test_synth_pixels_in_range():
     ds = synth_shapes(4, size=16, seed=1)
     assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
     assert ds.image_shape == (16, 16, 3)
+
+
+def per_image_synth_shapes(num_per_class, size, seed):
+    """The corpus built one image at a time, each with its own grid and clamp."""
+
+    def pattern(cls, s, rng):
+        yy, xx = np.mgrid[0:s, 0:s]
+        base = np.zeros((s, s))
+        if cls == 0:
+            c = rng.integers(s // 4, 3 * s // 4 + 1)
+            half = rng.integers(max(1, s // 8), max(2, s // 5))
+            base[(yy >= c - half) & (yy <= c + half)] = 1.0
+        elif cls == 1:
+            c = rng.integers(s // 4, 3 * s // 4 + 1)
+            half = rng.integers(max(1, s // 8), max(2, s // 5))
+            base[(xx >= c - half) & (xx <= c + half)] = 1.0
+        elif cls == 2:
+            cy = s / 2 + rng.uniform(-s / 8, s / 8)
+            cx = s / 2 + rng.uniform(-s / 8, s / 8)
+            r = rng.uniform(s / 5, s / 3)
+            base[(yy - cy) ** 2 + (xx - cx) ** 2 <= r * r] = 1.0
+        else:
+            cell = rng.integers(max(2, s // 8), max(3, s // 4))
+            py, px = rng.integers(0, cell, size=2)
+            base[(((yy + py) // cell) + ((xx + px) // cell)) % 2 == 0] = 1.0
+        return base
+
+    rng = rng_from(seed, 0x53594E)
+    images, labels = [], []
+    for cls in range(4):
+        for _ in range(num_per_class):
+            base = pattern(cls, size, rng)
+            lo = rng.uniform(0.1, 0.3)
+            hi = rng.uniform(0.7, 0.9)
+            tint = rng.uniform(0.75, 1.0, size=3)
+            img = (lo + base * (hi - lo))[..., None] * tint
+            img += rng.normal(0.0, 0.06, size=(size, size, 3))
+            images.append(clamp01(img))
+            labels.append(cls)
+    return np.stack(images), np.array(labels)
+
+
+@pytest.mark.parametrize("size", [8, 16, 32])
+def test_synth_matches_per_image_loop_bit_for_bit(size):
+    ds = synth_shapes(6, size=size, seed=size + 1)
+    images, labels = per_image_synth_shapes(6, size, seed=size + 1)
+    assert ds.images.tobytes() == images.tobytes()
+    assert np.array_equal(ds.labels, labels)
+    assert not any(g.flags.writeable for g in _grid(size))  # the shared grid cannot be changed
 
 
 def test_synth_size_validated():

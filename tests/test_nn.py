@@ -18,8 +18,9 @@ from fenet.nn import (
     power_iteration,
     train,
 )
+from fenet.cli import DESK_ARCH
 from fenet.data import Dataset
-from fenet.util import rng_from
+from fenet.util import l2norm, rng_from
 
 from conftest import params_of
 
@@ -586,6 +587,26 @@ def test_conv_matches_tap_loop_oracle(batch, h, w, c, out, kh, kw, stride, paddi
     assert np.array_equal(gb, gy.sum(axis=(0, 1, 2)))
 
 
+@pytest.mark.parametrize(
+    "kernel, stride, padding, in_shape",
+    [
+        ((3, 3), 2, "same", (6, 6, 2)),  # stride 2 on an even size: one more pad below and right
+        ((2, 4), 1, "same", (5, 7, 3)),  # even kernels: one more pad below and right
+        ((3, 2), 3, "same", (7, 4, 1)),
+        ((3, 3), 1, "valid", (5, 4, 2)),  # no padding: the input itself
+    ],
+)
+def test_conv_pad_matches_np_pad_bit_for_bit(kernel, stride, padding, in_shape):
+    conv = Conv2D(2, kernel, stride=stride, padding=padding)
+    conv.bind(in_shape)
+    pt, pb, pl, pr = conv._pads
+    assert padding == "valid" or (pt, pl) != (pb, pr)
+    x = rng_from(79).normal(size=(3,) + in_shape)
+    x[0, 0, 0, 0] = -0.0
+    want = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+    assert_bits_equal(conv._pad(x), want)
+
+
 # ---------------------------------------------------------------- AvgPool2D
 
 @settings(deadline=None, max_examples=300)
@@ -676,6 +697,72 @@ def test_conv_lipschitz_matches_tap_loop_power_iteration(h, w, c, out, kh, kw, s
     )
     # a rounding change can move the stop by one round, so compare at the stopping tolerance
     assert conv.lipschitz_bound(rng_from(seed, 1)) == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        rng_from(80).normal(size=17),
+        rng_from(81).normal(size=(5, 4, 3)),
+        rng_from(82).normal(size=(6, 4, 3)).transpose(2, 0, 1),  # not contiguous
+        np.zeros((4, 3)),
+    ],
+    ids=["1-d", "3-d", "transposed", "zeros"],
+)
+def test_l2norm_matches_np_linalg_norm_bit_for_bit(a):
+    got, want = l2norm(a), np.linalg.norm(a)
+    assert type(got) is type(want) and got.tobytes() == want.tobytes()
+
+
+def test_network_lipschitz_matches_append_and_norm_power_iteration():
+    """A seeded desk net's bound equals the product the layers made with np.append
+    and np.linalg.norm in every power-iteration round, bit for bit."""
+
+    def norm_power_iteration(apply_fn, adjoint_fn, in_shape, rng, max_iter=200, tol=1e-6):
+        v = rng.standard_normal(in_shape)
+        v /= np.linalg.norm(v)
+        sigma_prev = 0.0
+        for _ in range(max_iter):
+            u = apply_fn(v)
+            sigma = float(np.linalg.norm(u))
+            w = adjoint_fn(u)
+            v = w / np.linalg.norm(w)
+            if abs(sigma - sigma_prev) <= tol * sigma:
+                break
+            sigma_prev = sigma
+        return sigma
+
+    def conv_bound(conv, rng):
+        h, w, c = conv.in_shape
+        oh, ow, _ = conv.out_shape
+        pt, pb, pl, pr = conv._pads
+        s, n = conv.stride, h * w * c
+        cells = np.pad(np.arange(n).reshape(h, w, c), ((pt, pb), (pl, pr), (0, 0)),
+                       constant_values=n)
+        windows = np.lib.stride_tricks.sliding_window_view(cells, (conv.kh, conv.kw), axis=(0, 1))
+        idx = windows[: s * oh : s, : s * ow : s].reshape(oh * ow, -1)
+        wm = conv.weight.reshape(conv.out_channels, -1)
+        return norm_power_iteration(
+            lambda v: np.append(v.ravel(), 0.0)[idx] @ wm.T,
+            lambda u: np.bincount(idx.ravel(), weights=(u @ wm).ravel(), minlength=n + 1)[:n],
+            conv.in_shape,
+            rng,
+        )
+
+    net = build_network(DESK_ARCH, (16, 16, 3), 4, seed=83)
+    # a few start vectors: a norm off by one ulp shows in a final estimate only some of the time
+    for seed in range(4):
+        want = 1.0
+        for i, layer in enumerate(net.layers):
+            rng = rng_from(seed, i, 0x4C49)  # the stream lipschitz_upper_bound(seed) gives layer i
+            if isinstance(layer, Conv2D):
+                want *= conv_bound(layer, rng)
+            elif isinstance(layer, Dense):
+                w = layer.weight
+                want *= norm_power_iteration(lambda v: w @ v, lambda u: w.T @ u, layer.in_shape, rng)
+            else:
+                want *= layer.lipschitz_bound(rng)
+        assert net.lipschitz_upper_bound(seed=seed) == want
 
 
 def test_avgpool_norm_matches_explicit_matrix():
