@@ -292,18 +292,13 @@ def _octree_chunk(imgs, max_colors, depth):
     morton >>= 3 * (8 - depth)
     # leaves: each image's cells at the working depth, sorted by image index
     # (above bit 24), then Morton code; colors differing below `depth` share
-    # a cell. A cell's first pixel orders it as its first-appearing color would:
-    # a stable sort puts each cell's pixels in image order.
-    pixel_keys = np.repeat(np.arange(n, dtype=np.int64) << 24, h * w) | morton
-    order = np.argsort(pixel_keys, kind="stable")
-    sorted_keys = pixel_keys[order]
-    start = np.ones(len(order), dtype=bool)
-    start[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    kstart = np.flatnonzero(start)
-    keys, seq, count = sorted_keys[kstart], order[kstart], np.diff(kstart, append=len(order))
-    cell = np.empty_like(order)
-    cell[order] = np.cumsum(start) - 1
-    sums = np.add.reduceat(codes[order], kstart)  # int64: exact in any order
+    # a cell. A cell's first pixel orders it as its first-appearing color would.
+    keys, seq, cell, count = np.unique(
+        np.repeat(np.arange(n, dtype=np.int64) << 24, h * w) | morton,
+        return_index=True, return_inverse=True, return_counts=True,
+    )
+    sums = np.zeros((len(keys), 3), dtype=np.int64)
+    np.add.at(sums, cell, codes)
     owner, keys = keys >> 24, keys & 0xFFFFFF
 
     # fold each image `up` levels: the most that leave it over max_colors cells
