@@ -65,7 +65,6 @@ class AttackConfig:
 class AttackResult:
     adversarial: np.ndarray
     success: bool
-    queries: int
     final_label: int
 
 
@@ -131,7 +130,6 @@ def run_attack_batch(model, xb, labels, cfg: AttackConfig, image_ids=None, trace
     steps, alpha = (1, r) if cfg.method == "fgsm" else (cfg.steps, cfg.resolved_step_size())
 
     adv = xb.copy()
-    grad_calls = 0
     if r > 0:
         if cfg.method == "pgd" and cfg.random_init:
             deltas = np.empty_like(xb)
@@ -140,20 +138,13 @@ def run_attack_batch(model, xb, labels, cfg: AttackConfig, image_ids=None, trace
             adv = clamp01(xb + deltas)
         for step in range(steps):
             g = sgn * model.grad_input_batch(adv, labels)
-            grad_calls += 1
             adv = clamp01(xb + _project(adv + alpha * _direction(g, p) - xb, r, p))
             if trace is not None:
                 trace(step, adv)
 
     final = model.classify_batch(adv)
-    queries = grad_calls + 1
     return [
-        AttackResult(
-            adversarial=adv[i],
-            success=bool(final[i] != labels[i]),
-            queries=queries,
-            final_label=int(final[i]),
-        )
+        AttackResult(adversarial=adv[i], success=bool(final[i] != labels[i]), final_label=int(final[i]))
         for i in range(len(adv))
     ]
 
@@ -164,7 +155,8 @@ def transfer_eval(source_model, targets: dict, dataset, epsilons, cfg: AttackCon
     """Craft adversarials on the source at each radius, score every target on them.
 
     Returns rows (epsilon, model_name, accuracy), targets in dict order.
-    epsilon == 0 rows report plain clean accuracy.
+    At epsilon 0 the attack returns the clean images, so those rows report
+    clean accuracy.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
@@ -173,13 +165,10 @@ def transfer_eval(source_model, targets: dict, dataset, epsilons, cfg: AttackCon
     ids = np.arange(len(dataset))
     rows = []
     for eps in epsilons:
-        if eps == 0:
-            adv = xb
-        else:
-            results = run_attack_batch(
-                source_model, xb, labels, replace(cfg, radius=float(eps)), image_ids=ids
-            )
-            adv = np.stack([res.adversarial for res in results])
+        results = run_attack_batch(
+            source_model, xb, labels, replace(cfg, radius=float(eps)), image_ids=ids
+        )
+        adv = np.stack([res.adversarial for res in results])
         for name, model in targets.items():
             pred = model.classify_batch(adv)
             rows.append((float(eps), name, float(np.mean(pred == labels))))

@@ -466,7 +466,7 @@ def cmd_correlate(cfg) -> list:
     bank = _correlate_bank(cfg, test_ds.image_shape)
     ncfg = _noise_config(cfg)
     try:
-        matrix = sensitivity.pearson_matrix(sensitivity.sample_sensitivities(bank, test_ds, ncfg))
+        matrix = sensitivity.pearson_matrix(sensitivity.sample_sensitivities(bank, test_ds, ncfg), tuple(bank))
     except ValueError as e:
         raise ConfigError(f"noise: {e}") from None
     selected = sensitivity.select_min_correlated(matrix, k=cfg["noise"]["select_k"])

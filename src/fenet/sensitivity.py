@@ -29,14 +29,6 @@ class NoiseConfig:
             raise ValueError("samples_per_image and num_images must be >= 1")
 
 
-@dataclass
-class SensitivitySample:
-    image_id: int
-    noise_id: int
-    values: np.ndarray
-    filter_names: tuple
-
-
 def noise_stream(seed, image_id):
     """The RNG stream that generates every noise for one image.
 
@@ -52,35 +44,36 @@ def draw_noise(rng, shape, epsilon_max):
     return rng.uniform(-eps, eps, size=shape)
 
 
-def sample_sensitivities(filter_bank: dict, dataset, cfg: NoiseConfig) -> list:
-    """Sensitivity of every filter on seeded noisy versions of sampled images."""
+def sample_sensitivities(filter_bank: dict, dataset, cfg: NoiseConfig) -> np.ndarray:
+    """Sensitivity of every filter on seeded noisy versions of sampled images.
+
+    Returns a (num_images * samples_per_image, len(filter_bank)) array: row
+    i * samples_per_image + k holds noise k of the i-th sampled image, images
+    in index order, and columns follow the bank's order.
+    """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     if len(dataset) < cfg.num_images:
         raise ValueError(
             f"dataset has {len(dataset)} images, need at least {cfg.num_images}"
         )
-    names = tuple(filter_bank)
     ids = rng_from(cfg.rng_seed, 0x494D47).choice(
         len(dataset), size=cfg.num_images, replace=False
     )
-    samples = []
-    for image_id in sorted(int(i) for i in ids):
+    per_image = cfg.samples_per_image
+    values = np.empty((cfg.num_images * per_image, len(filter_bank)))
+    for i, image_id in enumerate(sorted(int(n) for n in ids)):
         x = dataset.images[image_id]
         rng = noise_stream(cfg.rng_seed, image_id)
-        deltas = [draw_noise(rng, x.shape, cfg.epsilon_max) for _ in range(cfg.samples_per_image)]
+        deltas = [draw_noise(rng, x.shape, cfg.epsilon_max) for _ in range(per_image)]
         # row 0 is the clean image, row 1 + k its k-th noisy copy
         batch = np.concatenate([x[None], clamp01(x + np.stack(deltas))])
-        values = np.empty((cfg.samples_per_image, len(names)))
         for j, spec in enumerate(filter_bank.values()):
             out = flt.apply_batch(spec, batch)
             # one norm per sample: a norm along an axis sums in another order
-            for k in range(cfg.samples_per_image):
-                values[k, j] = l2norm(out[1 + k] - out[0])
-        samples.extend(
-            SensitivitySample(image_id, k, values[k], names) for k in range(cfg.samples_per_image)
-        )
-    return samples
+            for k in range(per_image):
+                values[i * per_image + k, j] = l2norm(out[1 + k] - out[0])
+    return values
 
 
 @dataclass
@@ -101,33 +94,25 @@ class CorrelationMatrix:
         if np.any(np.abs(self.rho) > 1 + 1e-12):
             raise ValueError("correlation entries must lie in [-1, 1]")
 
-    def pair(self, a: str, b: str) -> float:
-        i = self.filter_names.index(a)
-        j = self.filter_names.index(b)
-        return float(self.rho[i, j])
 
-
-def pearson_matrix(samples: list) -> CorrelationMatrix:
-    """Sample Pearson correlations (n-1 normalization) between filter columns."""
-    if len(samples) < 2:
-        raise ValueError("need at least 2 samples to correlate")
-    names = samples[0].filter_names
-    if any(s.filter_names != names for s in samples):
-        raise ValueError("samples disagree on filter names")
-    x = np.stack([s.values for s in samples])
+def pearson_matrix(values: np.ndarray, filter_names) -> CorrelationMatrix:
+    """Sample Pearson correlations (n-1 normalization) between the columns of values."""
+    x = np.asarray(values, dtype=np.float64)
     n, k = x.shape
+    if n < 2:
+        raise ValueError("need at least 2 samples to correlate")
     centered = x - x.mean(axis=0)
     std = np.sqrt((centered**2).sum(axis=0) / (n - 1))
     for j in range(k):
         if std[j] == 0.0:
-            raise ValueError(f"constant sensitivity column for filter {names[j]!r}")
+            raise ValueError(f"constant sensitivity column for filter {filter_names[j]!r}")
     rho = np.eye(k)
     for i in range(k):
         for j in range(i + 1, k):
             cov = float(centered[:, i] @ centered[:, j]) / (n - 1)
             rho[i, j] = rho[j, i] = cov / (std[i] * std[j])
     np.clip(rho, -1.0, 1.0, out=rho)
-    return CorrelationMatrix(names, rho)
+    return CorrelationMatrix(filter_names, rho)
 
 
 def select_min_correlated(matrix: CorrelationMatrix, k: int) -> list:
@@ -139,16 +124,13 @@ def select_min_correlated(matrix: CorrelationMatrix, k: int) -> list:
     names = matrix.filter_names
     if k > len(names):
         raise ValueError(f"k={k} exceeds {len(names)} filters")
-    best = None
-    for combo in combinations(names, k):
-        chosen = sorted(combo)
-        worst = 0.0
-        for a, b in combinations(chosen, 2):
-            worst = max(worst, abs(matrix.pair(a, b)))
-        key = (worst, tuple(chosen))
-        if best is None or key < best:
-            best = key
-    return list(best[1])
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    # subsets of a sorted list come in lexicographic order; min keeps the first tie
+    best = min(
+        combinations(by_name, k),
+        key=lambda c: max((abs(matrix.rho[i, j]) for i, j in combinations(c, 2)), default=0.0),
+    )
+    return [names[i] for i in best]
 
 
 def correlation_csv(matrix: CorrelationMatrix) -> str:

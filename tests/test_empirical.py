@@ -169,7 +169,7 @@ def test_octree_pairs_form_the_least_correlated_block():
     cfg = sensitivity.NoiseConfig(
         epsilon_max=20 / 255, samples_per_image=10, num_images=100, rng_seed=0
     )
-    matrix = sensitivity.pearson_matrix(sensitivity.sample_sensitivities(bank, corpus, cfg))
+    matrix = sensitivity.pearson_matrix(sensitivity.sample_sensitivities(bank, corpus, cfg), tuple(bank))
     octree_pairs, other_pairs = [], []
     names = matrix.filter_names
     for i in range(len(names)):

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,6 @@ from fenet.filters import apply, default_filters, filter_spec
 from fenet.sensitivity import (
     CorrelationMatrix,
     NoiseConfig,
-    SensitivitySample,
     correlation_csv,
     draw_noise,
     noise_stream,
@@ -27,13 +28,6 @@ def sensitivity(spec, x, delta) -> float:
     perturbed = clamp01(x + delta)
     diff = apply(spec, perturbed) - apply(spec, x)
     return float(np.linalg.norm(diff))
-
-
-def mk_samples(rows, names):
-    return [
-        SensitivitySample(i, 0, np.asarray(row, dtype=float), tuple(names))
-        for i, row in enumerate(rows)
-    ]
 
 
 # ---------------------------------------------------------------- sensitivity
@@ -85,38 +79,31 @@ def small_bank():
 def test_single_image_single_noise_one_row():
     ds = synth_shapes(2, size=8, seed=0)
     cfg = NoiseConfig(samples_per_image=1, num_images=1, rng_seed=5)
-    samples = sample_sensitivities(small_bank(), ds, cfg)
-    assert len(samples) == 1
-    assert samples[0].noise_id == 0
-    assert samples[0].filter_names == ("identity", "discretize", "lowpass")
-    assert np.all(samples[0].values >= 0)
+    values = sample_sensitivities(small_bank(), ds, cfg)
+    assert values.shape == (1, 3)
+    assert np.all(values >= 0)
 
 
 def test_duplicate_filter_identical_columns():
     ds = synth_shapes(3, size=8, seed=1)
     bank = {"a": filter_spec("lowpass", sigma=3.0), "b": filter_spec("lowpass", sigma=3.0)}
     cfg = NoiseConfig(samples_per_image=3, num_images=4, rng_seed=2)
-    samples = sample_sensitivities(bank, ds, cfg)
-    cols = np.stack([s.values for s in samples])
+    cols = sample_sensitivities(bank, ds, cfg)
     np.testing.assert_array_equal(cols[:, 0], cols[:, 1])
 
 
 def test_identity_column_recomputable_from_stream():
     ds = synth_shapes(3, size=8, seed=3)
     cfg = NoiseConfig(samples_per_image=2, num_images=3, rng_seed=9)
-    samples = sample_sensitivities(small_bank(), ds, cfg)
-    for s in samples:
-        if s.noise_id == 0:
-            rng = noise_stream(cfg.rng_seed, s.image_id)
-            x = ds.images[s.image_id]
-            for noise_id in range(cfg.samples_per_image):
-                delta = draw_noise(rng, x.shape, cfg.epsilon_max)
-                want = sensitivity(filter_spec("identity"), x, delta)
-                row = next(
-                    t for t in samples
-                    if t.image_id == s.image_id and t.noise_id == noise_id
-                )
-                assert row.values[0] == want
+    values = sample_sensitivities(small_bank(), ds, cfg)
+    ids = rng_from(cfg.rng_seed, 0x494D47).choice(len(ds), size=cfg.num_images, replace=False)
+    for i, image_id in enumerate(sorted(int(n) for n in ids)):
+        rng = noise_stream(cfg.rng_seed, image_id)
+        x = ds.images[image_id]
+        for noise_id in range(cfg.samples_per_image):
+            delta = draw_noise(rng, x.shape, cfg.epsilon_max)
+            want = sensitivity(filter_spec("identity"), x, delta)
+            assert values[i * cfg.samples_per_image + noise_id, 0] == want
 
 
 def test_sampling_deterministic():
@@ -124,16 +111,13 @@ def test_sampling_deterministic():
     cfg = NoiseConfig(samples_per_image=2, num_images=5, rng_seed=11)
     a = sample_sensitivities(small_bank(), ds, cfg)
     b = sample_sensitivities(small_bank(), ds, cfg)
-    np.testing.assert_array_equal(
-        np.stack([s.values for s in a]), np.stack([s.values for s in b])
-    )
+    np.testing.assert_array_equal(a, b)
 
 
 def _sample_sensitivities_oracle(filter_bank, dataset, cfg):
     """The per-sample loop sample_sensitivities replaced: one filter call per image."""
-    names = tuple(filter_bank)
     ids = rng_from(cfg.rng_seed, 0x494D47).choice(len(dataset), size=cfg.num_images, replace=False)
-    samples = []
+    rows = []
     for image_id in sorted(int(i) for i in ids):
         x = dataset.images[image_id]
         base = [apply(spec, x) for spec in filter_bank.values()]
@@ -141,11 +125,10 @@ def _sample_sensitivities_oracle(filter_bank, dataset, cfg):
         for noise_id in range(cfg.samples_per_image):
             delta = draw_noise(rng, x.shape, cfg.epsilon_max)
             perturbed = clamp01(x + delta)
-            values = np.array(
+            rows.append(
                 [np.linalg.norm(apply(spec, perturbed) - b) for spec, b in zip(filter_bank.values(), base)]
             )
-            samples.append(SensitivitySample(image_id, noise_id, values, names))
-    return samples
+    return np.array(rows)
 
 
 @settings(max_examples=25, deadline=None)
@@ -159,10 +142,8 @@ def test_batched_sampling_matches_per_sample_oracle(size, seed, num_images, per_
     cfg = NoiseConfig(epsilon_max=eps, samples_per_image=per_image, num_images=num_images, rng_seed=seed)
     got = sample_sensitivities(bank, ds, cfg)
     want = _sample_sensitivities_oracle(bank, ds, cfg)
-    assert [(s.image_id, s.noise_id, s.filter_names) for s in got] == [
-        (s.image_id, s.noise_id, s.filter_names) for s in want
-    ]
-    assert np.array_equal(np.stack([s.values for s in got]), np.stack([s.values for s in want]))
+    assert got.shape == want.shape == (num_images * per_image, len(bank))
+    assert np.array_equal(got, want)
 
 
 def test_sampling_dataset_too_small():
@@ -182,32 +163,30 @@ def test_noise_config_validated():
 
 def test_self_correlation_is_one():
     rows = rng_from(20).uniform(size=(10, 1))
-    samples = mk_samples(np.hstack([rows, rows]), ["a", "b"])
-    cm = pearson_matrix(samples)
-    assert cm.pair("a", "b") == pytest.approx(1.0, abs=1e-12)
+    cm = pearson_matrix(np.hstack([rows, rows]), ("a", "b"))
+    assert cm.rho[0, 1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_negated_column_gives_minus_one():
     rows = rng_from(21).uniform(size=(10, 1))
-    samples = mk_samples(np.hstack([rows, -rows]), ["a", "b"])
-    cm = pearson_matrix(samples)
-    assert cm.pair("a", "b") == pytest.approx(-1.0, abs=1e-12)
+    cm = pearson_matrix(np.hstack([rows, -rows]), ("a", "b"))
+    assert cm.rho[0, 1] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_hand_rows_match_direct_formula():
     rows = np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 4.0], [4.0, 3.0], [5.0, 5.0]])
-    cm = pearson_matrix(mk_samples(rows, ["a", "b"]))
+    cm = pearson_matrix(rows, ("a", "b"))
     xa, xb = rows[:, 0], rows[:, 1]
     ca, cb = xa - xa.mean(), xb - xb.mean()
     want = (ca @ cb / 4) / (np.sqrt(ca @ ca / 4) * np.sqrt(cb @ cb / 4))
-    assert cm.pair("a", "b") == pytest.approx(want, rel=1e-12)
+    assert cm.rho[0, 1] == pytest.approx(want, rel=1e-12)
     np.testing.assert_allclose(cm.rho, np.corrcoef(rows, rowvar=False), atol=1e-12)
 
 
 def test_matrix_well_formed_on_real_samples():
     ds = synth_shapes(4, size=8, seed=6)
     cfg = NoiseConfig(samples_per_image=4, num_images=6, rng_seed=3)
-    cm = pearson_matrix(sample_sensitivities(small_bank(), ds, cfg))
+    cm = pearson_matrix(sample_sensitivities(small_bank(), ds, cfg), tuple(small_bank()))
     np.testing.assert_array_equal(cm.rho, cm.rho.T)
     np.testing.assert_allclose(np.diag(cm.rho), 1.0, atol=1e-12)
     assert np.all(np.abs(cm.rho) <= 1 + 1e-12)
@@ -216,12 +195,12 @@ def test_matrix_well_formed_on_real_samples():
 def test_constant_column_rejected_by_name():
     rows = [[1.0, 0.5], [2.0, 0.5], [3.0, 0.5]]
     with pytest.raises(ValueError, match="'flat'"):
-        pearson_matrix(mk_samples(rows, ["a", "flat"]))
+        pearson_matrix(rows, ("a", "flat"))
 
 
 def test_too_few_samples_rejected():
     with pytest.raises(ValueError):
-        pearson_matrix(mk_samples([[1.0, 2.0]], ["a", "b"]))
+        pearson_matrix([[1.0, 2.0]], ("a", "b"))
 
 
 @settings(max_examples=30, deadline=None)
@@ -235,8 +214,8 @@ def test_affine_column_invariance(a, b, col, seed):
     rows = rng_from(seed, 0xAF).uniform(size=(12, 3))
     scaled = rows.copy()
     scaled[:, col] = a * scaled[:, col] + b
-    m1 = pearson_matrix(mk_samples(rows, ["x", "y", "z"]))
-    m2 = pearson_matrix(mk_samples(scaled, ["x", "y", "z"]))
+    m1 = pearson_matrix(rows, ("x", "y", "z"))
+    m2 = pearson_matrix(scaled, ("x", "y", "z"))
     np.testing.assert_allclose(m1.rho, m2.rho, atol=1e-9)
 
 
@@ -280,10 +259,42 @@ def test_selection_matches_brute_force_pairs():
     cm = CorrelationMatrix(names, rho)
     got = select_min_correlated(cm, 2)
     best = min(
-        ((abs(cm.pair(a, b)), tuple(sorted((a, b))))
-         for i, a in enumerate(names) for b in names[i + 1:]),
+        ((abs(cm.rho[i, j]), tuple(sorted((names[i], names[j]))))
+         for i, j in combinations(range(len(names)), 2)),
     )
     assert tuple(got) == best[1]
+
+
+def _select_by_sorted_names(matrix, k):
+    """The selection loop before it ranked column indices: sorted names, one lookup per pair."""
+    names = matrix.filter_names
+    best = None
+    for combo in combinations(names, k):
+        chosen = sorted(combo)
+        worst = 0.0
+        for a, b in combinations(chosen, 2):
+            worst = max(worst, abs(float(matrix.rho[names.index(a), names.index(b)])))
+        key = (worst, tuple(chosen))
+        if best is None or key < best:
+            best = key
+    return list(best[1])
+
+
+@st.composite
+def tie_heavy_matrices(draw):
+    n = draw(st.integers(1, 7))
+    names = draw(st.permutations(["a", "b", "c", "d", "e", "f", "g"]))[:n]
+    rho = np.eye(n)
+    for i, j in combinations(range(n), 2):
+        rho[i, j] = rho[j, i] = draw(st.sampled_from([0.0, 0.25, -0.25, 0.5]))
+    return CorrelationMatrix(names, rho)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_matrices())
+def test_selection_matches_sorted_name_loop_on_ties(cm):
+    for k in range(len(cm.filter_names) + 1):
+        assert select_min_correlated(cm, k) == _select_by_sorted_names(cm, k)
 
 
 def test_selection_validation():
@@ -295,9 +306,7 @@ def test_selection_validation():
 # ---------------------------------------------------------------- CSV
 
 def test_correlation_csv_format():
-    cm = pearson_matrix(
-        mk_samples([[1.0, 2.0], [2.0, 1.5], [3.0, 4.0]], ["a", "b"])
-    )
+    cm = pearson_matrix([[1.0, 2.0], [2.0, 1.5], [3.0, 4.0]], ("a", "b"))
     text = correlation_csv(cm)
     lines = text.strip().split("\n")
     assert lines[0] == "filter,a,b"
