@@ -123,6 +123,8 @@ def run_attack_batch(model, xb, labels, cfg: AttackConfig, image_ids=None, trace
     labels = np.asarray(labels)
     if image_ids is None:
         image_ids = np.arange(len(xb))
+    elif len(image_ids) != len(xb):
+        raise ValueError(f"got {len(image_ids)} image_ids for {len(xb)} images")
     r = float(cfg.radius)
     sgn = 1.0 if cfg.loss_sign == "ascend" else -1.0
     p = cfg.norm

@@ -353,15 +353,6 @@ def _dataset(cfg, split: str):
     return ds
 
 
-def _filtered(spec, ds):
-    return data.Dataset(
-        flt.apply_batch(spec, ds.images),
-        np.array(ds.labels),
-        num_classes=ds.num_classes,
-        class_names=ds.class_names,
-    )
-
-
 def _models_dir(cfg) -> str:
     return cfg["models_dir"] or os.path.join(cfg["out_dir"], "models")
 
@@ -452,9 +443,9 @@ def cmd_train(cfg) -> list:
         for i, name in enumerate(names)
     ]
     os.makedirs(_models_dir(cfg), exist_ok=True)
+    trained = ensemble.train_submodels([bank[name] for name in names], nets, train_ds, tcfg)
     rows = ["filter,rate_index,learning_rate,epoch,mean_loss"]
-    for name, net in zip(names, nets):
-        net, log = nn.train(net, _filtered(bank[name], train_ds), tcfg)
+    for name, (net, log) in zip(names, trained):
         model_io.save_network(net, _model_path(cfg, name))
         for ri, rate, epoch, loss in log:
             rows.append(f"{name},{ri},{rate:.6g},{epoch},{loss:.10g}")

@@ -10,6 +10,7 @@ of a batch via its network's Lipschitz product bound.
 """
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -125,6 +126,37 @@ def pairwise_bound(c1: RobustnessCertificate, c2: RobustnessCertificate) -> np.n
 
 
 # -------------------------------------------------------------- training aids
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _train_filtered(spec, net, dataset, train_cfg):
+    return nn.train(net, replace(dataset, images=flt.apply_batch(spec, dataset.images)), train_cfg)
+
+
+def train_submodels(specs, nets, dataset, train_cfg: "nn.TrainConfig") -> list:
+    """Train nets[i] on specs[i]'s view of the dataset; [(trained net, log)] in input order.
+
+    The jobs share nothing, so they run in forked worker processes, one per
+    usable CPU, each filtering the raw dataset itself: the parent never
+    holds every filtered copy at once. With one CPU, one job, or no fork,
+    they run here in turn. Either way each result has the bits of nn.train.
+    A job's exception reaches the caller; a worker that dies raises
+    BrokenProcessPool. Every worker has exited when this returns.
+    """
+    jobs = list(zip(specs, nets))
+    workers = min(len(jobs), _usable_cpus())
+    if workers < 2 or not hasattr(os, "fork"):
+        return [_train_filtered(spec, net, dataset, train_cfg) for spec, net in jobs]
+    # imported here, so the commands that do not train never load them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(_train_filtered, spec, net, dataset, train_cfg) for spec, net in jobs]
+        return [future.result() for future in futures]
 
 
 def _derived_seed(seed, tag, i):

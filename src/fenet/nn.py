@@ -224,15 +224,19 @@ class Conv2D(_Affine):
         # One 2-D product per tap over all N*oh*ow output cells: a matmul on
         # the 4-D slice would make one BLAS call per image row. The (C, out)
         # tap matrices are made contiguous once, not copied for every product.
+        # With one input channel each product has K = 1, one rounded multiply
+        # per entry on any path: np.dot then gives the same bits 4-7x faster
+        # than `@`, which is the faster one for more channels.
         n, c = xp.shape[0], xp.shape[3]
         oh, ow, _ = self.out_shape
         s = self.stride
         taps = np.ascontiguousarray(self.weight.transpose(2, 3, 1, 0))
+        product = np.dot if c == 1 else np.matmul
         out = np.zeros((n * oh * ow, self.out_channels))
         for i in range(self.kh):
             for j in range(self.kw):
                 sl = xp[:, i : i + s * oh : s, j : j + s * ow : s, :]
-                out += sl.reshape(-1, c) @ taps[i, j]
+                out += product(sl.reshape(-1, c), taps[i, j])
         return out.reshape(n, oh, ow, self.out_channels)
 
     def forward(self, x):
@@ -493,8 +497,11 @@ class Network:
         # argmax takes the first maximum, i.e. ties go to the smallest index
         return np.argmax(self.forward_batch(xb), axis=1)
 
-    def _check_labels(self, labels):
+    def _check_labels(self, labels, n):
+        """One label in [0, num_classes) per image of an n-image batch."""
         labels = np.asarray(labels)
+        if len(labels) != n:
+            raise ValueError(f"got {len(labels)} labels for {n} images")
         if labels.min(initial=0) < 0 or labels.max(initial=-1) >= self.num_classes:
             raise ValueError(f"label out of range [0, {self.num_classes})")
         return labels.astype(np.intp)
@@ -511,8 +518,8 @@ class Network:
 
     def _backprop(self, xb, labels, need_input, need_params):
         """Logits, input gradient and per-layer parameter gradients of the loss."""
-        labels = self._check_labels(labels)
         z, caches = self._forward_with_caches(xb)
+        labels = self._check_labels(labels, len(z))
         p = np.exp(_log_softmax(z))
         gz = p
         gz[np.arange(len(labels)), labels] -= 1.0

@@ -8,7 +8,7 @@ fast enough to run in the default suite.
 import pytest
 
 from fenet import data, ensemble, filters as flt, nn
-from fenet.cli import DESK_ARCH, _filtered
+from fenet.cli import DESK_ARCH
 
 DESK_TRAIN_CFG = nn.TrainConfig(
     learning_rates=(0.1, 0.01, 0.001), epochs_per_rate=3, batch_size=32, rng_seed=7
@@ -27,13 +27,6 @@ def desk_bank():
     return bank
 
 
-def train_submodel(name, spec, train_ds, seed=11):
-    fds = _filtered(spec, train_ds)
-    net = nn.build_network(DESK_ARCH, fds.image_shape, fds.num_classes, seed=seed)
-    trained, _ = nn.train(net, fds, DESK_TRAIN_CFG)
-    return ensemble.SubModel(name, spec, trained)
-
-
 @pytest.fixture(scope="session")
 def desk_train():
     return data.synth_shapes(150, size=16, seed=101)
@@ -47,10 +40,14 @@ def desk_test():
 @pytest.fixture(scope="session")
 def desk_submodels(desk_train):
     bank = desk_bank()
-    return {
-        name: train_submodel(name, bank[name], desk_train, seed=11 + i)
-        for i, name in enumerate(sorted(bank))
-    }
+    names = sorted(bank)
+    nets = [
+        nn.build_network(DESK_ARCH, flt.output_shape(bank[name], desk_train.image_shape),
+                         desk_train.num_classes, seed=11 + i)
+        for i, name in enumerate(names)
+    ]
+    trained = ensemble.train_submodels([bank[name] for name in names], nets, desk_train, DESK_TRAIN_CFG)
+    return {name: ensemble.SubModel(name, bank[name], net) for name, (net, _) in zip(names, trained)}
 
 
 @pytest.fixture(scope="session")

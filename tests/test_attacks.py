@@ -212,6 +212,14 @@ def test_pgd_deterministic_and_keyed_by_image_id():
     assert not np.array_equal(first[0].adversarial, other[0].adversarial)
 
 
+@pytest.mark.parametrize("ids", [[5, 6], [5, 6, 7, 8]])
+def test_image_ids_must_key_every_image(ids):
+    net = conv_net(seed=2)
+    xb = np.full((3, 6, 6, 1), 0.5)
+    with pytest.raises(ValueError, match=f"got {len(ids)} image_ids for 3 images"):
+        run_attack_batch(net, xb, [1, 0, 2], AttackConfig(radius=0.05, steps=4), image_ids=ids)
+
+
 def test_radius_zero_returns_input_unchanged():
     net = linear_net(seed=1)
     x = interior_x(seed=5)

@@ -2,14 +2,19 @@
 
 import json
 import math
+import multiprocessing
 import os
 import re
+import subprocess
+import sys
+import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fenet import cli, data, filters as flt, model_io, nn
+from fenet import cli, data, ensemble, filters as flt, model_io, nn
 
 from conftest import params_of
 
@@ -82,6 +87,105 @@ def test_zero_epoch_schedule_persists_initial_weights(tmp_path):
         assert np.array_equal(a, b)
     _, _, rows = read_rows(tmp_path / "train_t.csv")
     assert rows == []
+
+
+# ------------------------------------------------- training in worker processes
+
+CONV_ARCH = ('arch=[{"kind":"Conv2D","out_channels":2,"kernel":[3,3],"stride":1,"padding":"same"},'
+             '{"kind":"ReLU"},{"kind":"Flatten"},{"kind":"Dense","out_features":null}]')
+
+
+class JobFailed(Exception):
+    pass
+
+
+def use_cpus(monkeypatch, count):
+    monkeypatch.setattr(ensemble, "_usable_cpus", lambda: count)
+
+
+def train_with_timeout(seconds=120):
+    """cli.main(["train", ...]) in ./out, from a thread, so a hang fails instead of blocking."""
+    box = {}
+
+    def run():
+        try:
+            box["rc"] = run_cli("train", "out")
+        except BaseException as e:  # handed to the caller, which checks its type
+            box["error"] = e
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"train did not finish within {seconds} s"
+    return box
+
+
+@pytest.mark.parametrize("arch", [CONV_ARCH, None])
+def test_workers_and_in_process_training_write_the_same_bytes(tmp_path, monkeypatch, arch):
+    trainer_pids = []
+    train = nn.train
+
+    def recording_train(*args, **kwargs):
+        with open(tmp_path / "pids", "a") as fh:  # the workers' pids reach the parent through the file
+            fh.write(f"{os.getpid()}\n")
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "train", recording_train)
+    outputs = {}
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        work = tmp_path / str(cpus)  # the same relative out_dir, so the same config hash
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert run_cli("train", "out", *(["--set", arch] if arch else [])) == 0
+        assert multiprocessing.active_children() == []
+        out = work / "out"
+        outputs[cpus] = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        trainer_pids.append((tmp_path / "pids").read_text().split())
+        (tmp_path / "pids").unlink()
+    assert sorted(outputs[1]) == ["models/downsize.fenet", "models/grayscale.fenet", "models/identity.fenet",
+                                  "train_t.config.json", "train_t.csv"]
+    assert outputs[1] == outputs[2]
+    in_process, workers = trainer_pids
+    assert in_process == [str(os.getpid())] * 3
+    assert len(workers) == 3 and str(os.getpid()) not in workers
+
+
+def test_a_failing_job_raises_its_own_error_and_writes_no_model(tmp_path, monkeypatch):
+    train = nn.train
+
+    def fail_on_grayscale(net, dataset, cfg):
+        if net.input_shape[-1] == 1:
+            raise JobFailed("grayscale")
+        return train(net, dataset, cfg)
+
+    monkeypatch.setattr(nn, "train", fail_on_grayscale)
+    monkeypatch.chdir(tmp_path)
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        box = train_with_timeout()
+        assert isinstance(box.get("error"), JobFailed), box
+        assert multiprocessing.active_children() == []
+        assert not list(tmp_path.rglob("*.fenet")) and not list(tmp_path.rglob("*.csv"))
+
+
+def test_a_worker_that_dies_breaks_the_pool_instead_of_hanging(tmp_path, monkeypatch):
+    monkeypatch.setattr(nn, "train", lambda *args, **kwargs: os._exit(3))
+    monkeypatch.chdir(tmp_path)
+    use_cpus(monkeypatch, 2)
+    box = train_with_timeout()
+    assert isinstance(box.get("error"), BrokenProcessPool), box
+    assert multiprocessing.active_children() == []
+    assert not list(tmp_path.rglob("*.fenet"))
+
+
+def test_importing_the_cli_loads_no_process_pool_machinery():
+    code = ("import sys, fenet.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_attack_epsilon_zero_reproduces_clean_accuracy(run_dir):

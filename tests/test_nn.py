@@ -357,6 +357,14 @@ def test_loss_rejects_bad_label():
         _logit_net([0.0, 0.0]).grad_input_batch([[0.0]], [-1])
 
 
+@pytest.mark.parametrize("n_labels", [2, 4])
+def test_gradient_needs_one_label_per_image(n_labels):
+    net = small_conv_net(seed=0)
+    xb = np.full((3, 6, 6, 1), 0.5)
+    with pytest.raises(ValueError, match=f"got {n_labels} labels for 3 images"):
+        net.grad_input_batch(xb, [0] * n_labels)
+
+
 @given(st.lists(st.floats(-30, 30), min_size=2, max_size=5), st.integers(0, 4))
 def test_loss_strictly_positive_for_finite_logits(logits, label):
     if label >= len(logits):
@@ -554,6 +562,8 @@ def test_train_config_validation():
     out=st.integers(1, 8), kh=st.integers(1, 5), kw=st.integers(1, 5), stride=st.integers(1, 3),
     padding=st.sampled_from(["same", "valid"]), seed=st.integers(0, 2**32 - 1),
 )
+@example(batch=1, h=1, w=1, c=1, out=3, kh=1, kw=1, stride=1, padding="valid", seed=1)
+@example(batch=4, h=16, w=16, c=1, out=8, kh=3, kw=3, stride=1, padding="same", seed=0)
 def test_conv_matches_tap_loop_oracle(batch, h, w, c, out, kh, kw, stride, padding, seed):
     if padding == "valid":
         kh, kw = min(kh, h), min(kw, w)
@@ -563,6 +573,7 @@ def test_conv_matches_tap_loop_oracle(batch, h, w, c, out, kh, kw, stride, paddi
     conv.init_params(rng)
     conv.bias = rng.normal(size=out)
     x = rng.normal(size=(batch, h, w, c))
+    x[rng.random(x.shape) < 0.25] = 0.0  # exact zeros make products of either sign of zero
     y, xp = conv.forward(x)
     aw, axp = np.abs(conv.weight), np.abs(xp)
     assert_sum_close(y, tap_loop_linear(conv, xp, conv.weight) + conv.bias,
@@ -576,9 +587,11 @@ def test_conv_matches_tap_loop_oracle(batch, h, w, c, out, kh, kw, stride, paddi
     oh, ow, _ = conv.out_shape
     # Bit for bit against the strided weight[:, :, i, j] products, except with
     # one output cell (N*oh*ow = 1): there BLAS takes its one-row path, whose
-    # last bit may depend on the weight's layout.
-    if batch * oh * ow >= 2:
+    # last bit may depend on the weight's layout. With one input channel each
+    # forward product is one multiply on any path, so it is pinned there too.
+    if batch * oh * ow >= 2 or c == 1:
         assert_bits_equal(y, strided_tap_linear(conv, xp) + conv.bias)
+    if batch * oh * ow >= 2:
         assert_bits_equal(gx, strided_tap_input_grad(conv, gy, xp.shape))
     for i in range(kh):
         for j in range(kw):
