@@ -11,6 +11,7 @@ of a batch via its network's Lipschitz product bound.
 
 import math
 import os
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -136,15 +137,41 @@ def _train_filtered(spec, net, dataset, train_cfg):
     return nn.train(net, replace(dataset, images=flt.apply_batch(spec, dataset.images)), train_cfg)
 
 
+_worker_data = None  # (dataset, train_cfg) in a training worker, set by _start_worker
+
+
+def _start_worker(dataset, train_cfg, parent_pid):
+    global _worker_data
+    _worker_data = (dataset, train_cfg)
+    if sys.platform == "linux":
+        import ctypes
+        import signal
+
+        # A parent killed by a signal it cannot handle (SIGKILL, or SIGTERM
+        # by default) never terminates its workers, which would wait for
+        # jobs forever; PR_SET_PDEATHSIG (1) has the kernel end them instead.
+        ctypes.CDLL(None).prctl(1, ctypes.c_ulong(signal.SIGTERM))
+        if os.getppid() != parent_pid:  # the parent died before prctl
+            os._exit(1)
+
+
+def _train_in_worker(spec, net):
+    return _train_filtered(spec, net, *_worker_data)
+
+
 def train_submodels(specs, nets, dataset, train_cfg: "nn.TrainConfig") -> list:
     """Train nets[i] on specs[i]'s view of the dataset; [(trained net, log)] in input order.
 
     The jobs share nothing, so they run in forked worker processes, one per
-    usable CPU, each filtering the raw dataset itself: the parent never
-    holds every filtered copy at once. With one CPU, one job, or no fork,
-    they run here in turn. Either way each result has the bits of nn.train.
-    A job's exception reaches the caller; a worker that dies raises
-    BrokenProcessPool. Every worker has exited when this returns.
+    usable CPU. The workers inherit the raw dataset through fork (only the
+    filter and network of a job go through a pipe) and each filters it
+    itself, so no process holds more than one filtered copy. With one CPU,
+    one job, or no fork, they run here in turn. Either way each result has
+    the bits of nn.train. The first failure (a job's exception, a
+    KeyboardInterrupt, or BrokenProcessPool when a worker dies) reaches the
+    caller at once: the workers still training are terminated. Every worker
+    has exited when this returns, and on Linux the workers also end when
+    this process is killed.
     """
     jobs = list(zip(specs, nets))
     workers = min(len(jobs), _usable_cpus())
@@ -152,10 +179,21 @@ def train_submodels(specs, nets, dataset, train_cfg: "nn.TrainConfig") -> list:
         return [_train_filtered(spec, net, dataset, train_cfg) for spec, net in jobs]
     # imported here, so the commands that do not train never load them
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor, as_completed
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(_train_filtered, spec, net, dataset, train_cfg) for spec, net in jobs]
+    # the fork start method hands initargs to the workers without pickling them
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_start_worker, initargs=(dataset, train_cfg, os.getpid())) as pool:
+        futures = [pool.submit(_train_in_worker, spec, net) for spec, net in jobs]
+        try:
+            for future in as_completed(futures):
+                future.result()  # raises the first failure, whichever job it is
+        except BaseException:
+            # Python < 3.14 has no public call that stops running jobs;
+            # leaving the with block then joins the terminated workers
+            for proc in list(pool._processes.values()):
+                proc.terminate()
+            raise
         return [future.result() for future in futures]
 
 

@@ -5,9 +5,11 @@ import math
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -130,7 +132,11 @@ def test_workers_and_in_process_training_write_the_same_bytes(tmp_path, monkeypa
             fh.write(f"{os.getpid()}\n")
         return train(*args, **kwargs)
 
+    def no_pickling(self, protocol):
+        raise TypeError("the workers must inherit the dataset through fork, not unpickle a copy")
+
     monkeypatch.setattr(nn, "train", recording_train)
+    monkeypatch.setattr(data.Dataset, "__reduce_ex__", no_pickling)
     outputs = {}
     for cpus in (1, 2):
         use_cpus(monkeypatch, cpus)
@@ -151,22 +157,94 @@ def test_workers_and_in_process_training_write_the_same_bytes(tmp_path, monkeypa
     assert len(workers) == 3 and str(os.getpid()) not in workers
 
 
+SLOW_JOB_S = 30  # a job that sleeps this long must not delay a failure
+
+
 def test_a_failing_job_raises_its_own_error_and_writes_no_model(tmp_path, monkeypatch):
     train = nn.train
+    test_pid = os.getpid()
 
     def fail_on_grayscale(net, dataset, cfg):
         if net.input_shape[-1] == 1:
             raise JobFailed("grayscale")
+        if os.getpid() != test_pid:  # in a worker, where the jobs beside the failing one must be stopped
+            time.sleep(SLOW_JOB_S)
         return train(net, dataset, cfg)
 
     monkeypatch.setattr(nn, "train", fail_on_grayscale)
     monkeypatch.chdir(tmp_path)
     for cpus in (1, 2):
         use_cpus(monkeypatch, cpus)
+        start = time.monotonic()
         box = train_with_timeout()
         assert isinstance(box.get("error"), JobFailed), box
+        assert time.monotonic() - start < SLOW_JOB_S / 2
         assert multiprocessing.active_children() == []
         assert not list(tmp_path.rglob("*.fenet")) and not list(tmp_path.rglob("*.csv"))
+
+
+SLOW_TRAIN = f"""
+import os, sys, time
+from fenet import cli, ensemble, nn
+
+def slow(net, dataset, cfg):
+    open(f"started-{{os.getpid()}}", "w").close()
+    time.sleep({SLOW_JOB_S})
+
+ensemble._usable_cpus = lambda: 2
+nn.train = slow
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def start_slow_training(tmp_path):
+    """`fenet train` in a subprocess whose two workers sleep; returns it and the workers' pids."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    # stderr goes to a file: the workers inherit it, and a pipe would stay open while any of them lives
+    with open(tmp_path / "stderr", "w") as err:
+        proc = subprocess.Popen([sys.executable, "-c", SLOW_TRAIN, "train", *BASE, "--out-dir", "out", "--tag", "t"],
+                                cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, stderr=err)
+    deadline = time.monotonic() + 60
+    while len(markers := list(tmp_path.glob("started-*"))) < 2:  # both workers are training
+        if proc.poll() is not None or time.monotonic() > deadline:
+            proc.kill()
+            proc.wait()
+            pytest.fail(f"the workers did not start: {(tmp_path / 'stderr').read_text()}")
+        time.sleep(0.05)
+    return proc, [int(m.name.split("-")[1]) for m in markers]
+
+
+def test_ctrl_c_stops_training_at_once(tmp_path):
+    proc, workers = start_slow_training(tmp_path)
+    try:
+        proc.send_signal(signal.SIGINT)  # to the parent alone: the workers do not see it
+        proc.wait(timeout=SLOW_JOB_S / 2)  # raises TimeoutExpired if it waits for the jobs
+    finally:
+        proc.kill()
+    assert proc.returncode != 0 and "KeyboardInterrupt" in (tmp_path / "stderr").read_text()
+    for pid in workers:
+        with pytest.raises(ProcessLookupError):  # the worker has exited and been reaped
+            os.kill(pid, 0)
+    assert not list(tmp_path.rglob("*.fenet"))
+
+
+def is_running(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the workers follow a killed parent on Linux only")
+def test_the_workers_end_when_training_is_killed(tmp_path):
+    proc, workers = start_slow_training(tmp_path)
+    proc.kill()  # SIGKILL: the parent gets no chance to terminate its workers
+    proc.wait()
+    deadline = time.monotonic() + SLOW_JOB_S / 2
+    while any(map(is_running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(is_running, workers))
 
 
 def test_a_worker_that_dies_breaks_the_pool_instead_of_hanging(tmp_path, monkeypatch):
