@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Golden hashes: the sha256 of every CSV and saved model from two pipeline runs.
+"""Golden hashes: the sha256 of every CSV and saved model from two pipeline runs and the baselines.
 
 Runs the CLI commands on two configs in a temporary directory:
 - `test09`: the six commands on the config of
@@ -7,6 +7,11 @@ Runs the CLI commands on two configs in a temporary directory:
 - `desk`: train, correlate, attack and transfer on scripts/desk_config.json,
   then ensemble-eval with attack.bpda="adjoint" and certify for the mincorr
   and maxcorr plans, as scripts/run_ensemble_comparison.py does (10 CSVs).
+
+The `baselines` set trains the two comparison defences that no CLI
+command runs, on the desk data and training config of tests/conftest.py,
+and saves their networks under baselines/: the three Gaussian-noise
+members (sigma 0.02, seed 0) and the PGD adversarially trained network.
 
 It prints one `<sha256>  <path>` line per CSV and model file, sorted by
 path. Run it at two commits and diff the outputs: a change that keeps
@@ -19,7 +24,7 @@ differ, and for a differing CSV prints the largest absolute and relative
 difference over its numeric cells, so a change that alters float rounding
 shows how far each output moved. It exits 1 when any output differs.
 
-    python3 scripts/golden_csvs.py [--only test09|desk] [--keep DIR]
+    python3 scripts/golden_csvs.py [--only test09|desk|baselines] [--keep DIR]
     python3 scripts/golden_csvs.py --diff DIR_A DIR_B
 """
 
@@ -33,7 +38,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from fenet import cli  # noqa: E402
+from fenet import cli, data, ensemble, model_io, nn  # noqa: E402
 
 TEST09 = [
     "--tag", "t",
@@ -62,6 +67,18 @@ def runs():
         yield "desk", ["ensemble-eval", "--out-dir", "desk", *DESK, *plan_args,
                        "--set", 'attack.bpda="adjoint"']
         yield "desk", ["certify", "--out-dir", "desk", *DESK, *plan_args]
+
+
+def save_baselines(out_dir):
+    """The Gaussian-noise members and the PGD-trained network, as model files under out_dir."""
+    train_ds = data.synth_shapes(150, size=16, seed=101)
+    tcfg = nn.TrainConfig(learning_rates=(0.1, 0.01, 0.001), epochs_per_rate=3, batch_size=32, rng_seed=7)
+    os.makedirs(out_dir, exist_ok=True)
+    for sm in ensemble.gaussian_noise_submodels(cli.DESK_ARCH, train_ds, sigma=0.02, count=3, seed=0,
+                                                train_cfg=tcfg):
+        model_io.save_network(sm.net, os.path.join(out_dir, f"{sm.name}.fenet"))
+    hardened = ensemble.adversarial_train(cli.DESK_ARCH, train_ds, None, tcfg)
+    model_io.save_network(hardened, os.path.join(out_dir, "adversarial.fenet"))
 
 
 def sha256(path):
@@ -126,7 +143,7 @@ def diff_dirs(dir_a, dir_b) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", choices=("test09", "desk"), help="run one config only")
+    parser.add_argument("--only", choices=("test09", "desk", "baselines"), help="run one set only")
     parser.add_argument("--keep", help="run in this directory and keep the outputs")
     parser.add_argument("--diff", nargs=2, metavar=("DIR_A", "DIR_B"),
                         help="compare the outputs of two --keep directories instead of running")
@@ -148,6 +165,9 @@ def main() -> int:
                 rc = cli.main(argv)
             if rc:
                 return rc
+        if args.only in (None, "baselines"):
+            print("running baselines", file=sys.stderr)
+            save_baselines("baselines")
         for path in outputs("."):
             print(f"{sha256(path)}  {path}")
     return 0

@@ -121,6 +121,8 @@ def run_attack_batch(model, xb, labels, cfg: AttackConfig, image_ids=None, trace
     """
     xb = np.asarray(xb, dtype=np.float64)
     labels = np.asarray(labels)
+    if len(labels) != len(xb):
+        raise ValueError(f"got {len(labels)} labels for {len(xb)} images")
     if image_ids is None:
         image_ids = np.arange(len(xb))
     elif len(image_ids) != len(xb):

@@ -443,7 +443,8 @@ def cmd_train(cfg) -> list:
         for i, name in enumerate(names)
     ]
     os.makedirs(_models_dir(cfg), exist_ok=True)
-    trained = ensemble.train_submodels([bank[name] for name in names], nets, train_ds, tcfg)
+    jobs = [(bank[name], net, tcfg, None) for name, net in zip(names, nets)]
+    trained = ensemble.train_submodels(jobs, train_ds)
     rows = ["filter,rate_index,learning_rate,epoch,mean_loss"]
     for name, (net, log) in zip(names, trained):
         model_io.save_network(net, _model_path(cfg, name))

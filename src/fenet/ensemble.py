@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -133,16 +134,16 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _train_filtered(spec, net, dataset, train_cfg):
-    return nn.train(net, replace(dataset, images=flt.apply_batch(spec, dataset.images)), train_cfg)
+def _train_job(dataset, spec, net, cfg, augment):
+    return nn.train(net, replace(dataset, images=flt.apply_batch(spec, dataset.images)), cfg, augment)
 
 
-_worker_data = None  # (dataset, train_cfg) in a training worker, set by _start_worker
+_worker_dataset = None  # the raw dataset in a training worker, set by _start_worker
 
 
-def _start_worker(dataset, train_cfg, parent_pid):
-    global _worker_data
-    _worker_data = (dataset, train_cfg)
+def _start_worker(dataset, parent_pid):
+    global _worker_dataset
+    _worker_dataset = dataset
     if sys.platform == "linux":
         import ctypes
         import signal
@@ -155,36 +156,37 @@ def _start_worker(dataset, train_cfg, parent_pid):
             os._exit(1)
 
 
-def _train_in_worker(spec, net):
-    return _train_filtered(spec, net, *_worker_data)
+def _train_in_worker(*job):
+    return _train_job(_worker_dataset, *job)
 
 
-def train_submodels(specs, nets, dataset, train_cfg: "nn.TrainConfig") -> list:
-    """Train nets[i] on specs[i]'s view of the dataset; [(trained net, log)] in input order.
+def train_submodels(jobs, dataset) -> list:
+    """Train each job's net on its filter's view of the dataset; [(trained net, log)] in job order.
 
-    The jobs share nothing, so they run in forked worker processes, one per
+    A job is (filter spec, network, nn.TrainConfig, augment or None). The
+    jobs share nothing, so they run in forked worker processes, one per
     usable CPU. The workers inherit the raw dataset through fork (only the
-    filter and network of a job go through a pipe) and each filters it
-    itself, so no process holds more than one filtered copy. With one CPU,
-    one job, or no fork, they run here in turn. Either way each result has
-    the bits of nn.train. The first failure (a job's exception, a
+    job goes through a pipe, so its augment must pickle) and each filters
+    it itself, so no process holds more than one filtered copy. With one
+    CPU, one job, or no fork, they run here in turn. Either way each result
+    has the bits of nn.train. The first failure (a job's exception, a
     KeyboardInterrupt, or BrokenProcessPool when a worker dies) reaches the
     caller at once: the workers still training are terminated. Every worker
     has exited when this returns, and on Linux the workers also end when
     this process is killed.
     """
-    jobs = list(zip(specs, nets))
+    jobs = list(jobs)
     workers = min(len(jobs), _usable_cpus())
     if workers < 2 or not hasattr(os, "fork"):
-        return [_train_filtered(spec, net, dataset, train_cfg) for spec, net in jobs]
+        return [_train_job(dataset, *job) for job in jobs]
     # imported here, so the commands that do not train never load them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor, as_completed
 
     # the fork start method hands initargs to the workers without pickling them
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_start_worker, initargs=(dataset, train_cfg, os.getpid())) as pool:
-        futures = [pool.submit(_train_in_worker, spec, net) for spec, net in jobs]
+                             initializer=_start_worker, initargs=(dataset, os.getpid())) as pool:
+        futures = [pool.submit(_train_in_worker, *job) for job in jobs]
         try:
             for future in as_completed(futures):
                 future.result()  # raises the first failure, whichever job it is
@@ -201,59 +203,48 @@ def _derived_seed(seed, tag, i):
     return int(rng_from(seed, tag, i).integers(2**31))
 
 
-def gaussian_noise_submodels(
-    base_net_spec, dataset, sigma: float = 0.02, count: int = 3, seed: int = 0,
-    train_cfg: "nn.TrainConfig" = None,
-):
+def _noised(sigma, net, rng, xb, yb):
+    if sigma == 0:
+        return xb
+    return clamp01(xb + rng.normal(0.0, sigma, size=xb.shape))
+
+
+def _adversarial(attack_cfg, net, rng, xb, yb):
+    if attack_cfg.radius == 0:
+        return xb
+    ids = rng.integers(2**31, size=len(xb))
+    results = run_attack_batch(net, xb, yb, attack_cfg, image_ids=ids)
+    return np.stack([res.adversarial for res in results])
+
+
+def gaussian_noise_submodels(base_net_spec, dataset, sigma: float = 0.02, count: int = 3, seed: int = 0, *,
+                             train_cfg: "nn.TrainConfig"):
     """Train identity-filter sub-models on Gaussian-noised copies of the data."""
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if train_cfg is None:
-        train_cfg = nn.TrainConfig()
-
-    def noised(net, rng, xb, yb):
-        if sigma == 0:
-            return xb
-        return clamp01(xb + rng.normal(0.0, sigma, size=xb.shape))
-
-    subs = []
+    identity = flt.filter_spec("identity")
+    jobs = []
     for i in range(count):
-        net = nn.build_network(
-            base_net_spec,
-            dataset.image_shape,
-            dataset.num_classes,
-            seed=_derived_seed(seed, 0x474E, i),
-        )
+        net = nn.build_network(base_net_spec, dataset.image_shape, dataset.num_classes,
+                               seed=_derived_seed(seed, 0x474E, i))
         cfg = replace(train_cfg, rng_seed=_derived_seed(seed, 0x4754, i))
-        trained, _ = nn.train(net, dataset, cfg, augment=noised)
-        subs.append(SubModel(f"gauss{i}", flt.filter_spec("identity"), trained))
-    return subs
+        jobs.append((identity, net, cfg, partial(_noised, sigma)))
+    return [SubModel(f"gauss{i}", identity, net) for i, (net, _) in enumerate(train_submodels(jobs, dataset))]
 
 
-def adversarial_train(net_spec, dataset, attack_cfg: AttackConfig = None,
-                      train_cfg: "nn.TrainConfig" = None) -> "nn.Network":
-    """SGD where every minibatch is replaced by its PGD adversarial examples."""
+def adversarial_train(net_spec, dataset, attack_cfg: "AttackConfig | None",
+                      train_cfg: "nn.TrainConfig") -> "nn.Network":
+    """SGD where every minibatch is replaced by its PGD adversarial examples (None: 4-step PGD at 8/255)."""
     if attack_cfg is None:
         attack_cfg = AttackConfig(method="pgd", radius=8 / 255, steps=4)
-    if train_cfg is None:
-        train_cfg = nn.TrainConfig()
     if attack_cfg.step_size is None and attack_cfg.radius > 0:
         step = min(2.5 * attack_cfg.radius / attack_cfg.steps, attack_cfg.radius)
         attack_cfg = replace(attack_cfg, step_size=step)
-
-    def adversarial(net, rng, xb, yb):
-        if attack_cfg.radius == 0:
-            return xb
-        ids = rng.integers(2**31, size=len(xb))
-        results = run_attack_batch(net, xb, yb, attack_cfg, image_ids=ids)
-        return np.stack([res.adversarial for res in results])
-
-    net = nn.build_network(
-        net_spec, dataset.image_shape, dataset.num_classes, seed=train_cfg.rng_seed
-    )
-    trained, _ = nn.train(net, dataset, train_cfg, augment=adversarial)
+    net = nn.build_network(net_spec, dataset.image_shape, dataset.num_classes, seed=train_cfg.rng_seed)
+    job = (flt.filter_spec("identity"), net, train_cfg, partial(_adversarial, attack_cfg))
+    [(trained, _)] = train_submodels([job], dataset)
     return trained
 
 

@@ -572,7 +572,9 @@ def train(net, dataset, cfg, augment=None):
     epoch, mean_loss) row per epoch, where mean_loss averages each
     example's loss just before its batch's update. `augment(net, rng, xb, yb)
     -> xb` may replace batch inputs before the gradient step (noise
-    injection, adversarial examples). Deterministic for a fixed cfg.rng_seed.
+    injection, adversarial examples); one given to ensemble.train_submodels
+    must pickle, so it is a module-level function or a functools.partial of
+    one. Deterministic for a fixed cfg.rng_seed.
     """
     xs, ys = dataset.images, dataset.labels
     if len(xs) == 0:

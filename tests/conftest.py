@@ -46,7 +46,8 @@ def desk_submodels(desk_train):
                          desk_train.num_classes, seed=11 + i)
         for i, name in enumerate(names)
     ]
-    trained = ensemble.train_submodels([bank[name] for name in names], nets, desk_train, DESK_TRAIN_CFG)
+    jobs = [(bank[name], net, DESK_TRAIN_CFG, None) for name, net in zip(names, nets)]
+    trained = ensemble.train_submodels(jobs, desk_train)
     return {name: ensemble.SubModel(name, bank[name], net) for name, (net, _) in zip(names, trained)}
 
 

@@ -21,7 +21,6 @@ PROGRAM_DIRS = ("src", "scripts", "perfbench")
 ALLOWED = {
     "dft2": "the reference DFT that acceptance test_02 checks the FFT filters against",
     "idft2": "the inverse of dft2, checked with it in acceptance test_02",
-    "gaussian_noise_submodels": "the paper's Gaussian-noise baseline ensemble, built by the tests",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_][\w.]*")

@@ -212,12 +212,18 @@ def test_pgd_deterministic_and_keyed_by_image_id():
     assert not np.array_equal(first[0].adversarial, other[0].adversarial)
 
 
-@pytest.mark.parametrize("ids", [[5, 6], [5, 6, 7, 8]])
-def test_image_ids_must_key_every_image(ids):
+# at radius 0 no gradient call sees the labels, so only the check at the top can catch them
+@pytest.mark.parametrize("labels, ids, radius, message", [
+    ([1, 0, 2], [5, 6], 0.05, "got 2 image_ids for 3 images"),
+    ([1, 0, 2], [5, 6, 7, 8], 0.05, "got 4 image_ids for 3 images"),
+    ([1, 0, 2, 1], None, 0.0, "got 4 labels for 3 images"),
+    ([1, 0], None, 0.0, "got 2 labels for 3 images"),
+], ids=["ids0", "ids1", "labels0", "labels1"])
+def test_image_ids_must_key_every_image(labels, ids, radius, message):
     net = conv_net(seed=2)
     xb = np.full((3, 6, 6, 1), 0.5)
-    with pytest.raises(ValueError, match=f"got {len(ids)} image_ids for 3 images"):
-        run_attack_batch(net, xb, [1, 0, 2], AttackConfig(radius=0.05, steps=4), image_ids=ids)
+    with pytest.raises(ValueError, match=message):
+        run_attack_batch(net, xb, labels, AttackConfig(radius=radius, steps=4), image_ids=ids)
 
 
 def test_radius_zero_returns_input_unchanged():

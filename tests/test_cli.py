@@ -164,12 +164,12 @@ def test_a_failing_job_raises_its_own_error_and_writes_no_model(tmp_path, monkey
     train = nn.train
     test_pid = os.getpid()
 
-    def fail_on_grayscale(net, dataset, cfg):
+    def fail_on_grayscale(net, dataset, cfg, augment):
         if net.input_shape[-1] == 1:
             raise JobFailed("grayscale")
         if os.getpid() != test_pid:  # in a worker, where the jobs beside the failing one must be stopped
             time.sleep(SLOW_JOB_S)
-        return train(net, dataset, cfg)
+        return train(net, dataset, cfg, augment)
 
     monkeypatch.setattr(nn, "train", fail_on_grayscale)
     monkeypatch.chdir(tmp_path)
@@ -187,7 +187,7 @@ SLOW_TRAIN = f"""
 import os, sys, time
 from fenet import cli, ensemble, nn
 
-def slow(net, dataset, cfg):
+def slow(net, dataset, cfg, augment):
     open(f"started-{{os.getpid()}}", "w").close()
     time.sleep({SLOW_JOB_S})
 

@@ -7,6 +7,9 @@ random-sampling falsification.
 
 import itertools
 import math
+import multiprocessing
+import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -444,6 +447,57 @@ def test_adversarial_training_deterministic():
     two = adversarial_train(TINY_ARCH, ds, cfg, TINY_CFG)
     for a, b in zip(params_of(one), params_of(two)):
         assert np.array_equal(a, b)
+
+
+# ------------------------------------------------ training in worker processes
+
+
+class AugmentFailed(Exception):
+    pass
+
+
+def fail_outside(test_pid, net, rng, xb, yb):
+    """An augment that raises, with its process id, in any process but the test's."""
+    if os.getpid() != test_pid:
+        raise AugmentFailed(os.getpid())
+    return xb
+
+
+def test_gaussian_members_train_in_workers_with_the_same_bits(tmp_path, monkeypatch):
+    train = nn.train
+
+    def recording_train(*args):
+        with open(tmp_path / "pids", "a") as fh:  # the workers' pids reach the test through the file
+            fh.write(f"{os.getpid()}\n")
+        return train(*args)
+
+    monkeypatch.setattr(nn, "train", recording_train)
+    ds = tiny_dataset()
+    members = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(ensemble, "_usable_cpus", lambda: cpus)
+        members[cpus] = gaussian_noise_submodels(TINY_ARCH, ds, sigma=0.05, count=3, seed=1, train_cfg=TINY_CFG)
+        assert multiprocessing.active_children() == []
+    for one, two in zip(members[1], members[2]):
+        assert one.name == two.name
+        for a, b in zip(params_of(one.net), params_of(two.net)):
+            assert np.array_equal(a, b)
+    pids = (tmp_path / "pids").read_text().split()
+    assert pids[:3] == [str(os.getpid())] * 3
+    assert len(pids) == 6 and str(os.getpid()) not in pids[3:]
+
+
+def test_an_augment_that_fails_in_a_worker_raises_its_own_error(monkeypatch):
+    monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 2)
+    ds = tiny_dataset()
+    identity = flt.filter_spec("identity")
+    augment = partial(fail_outside, os.getpid())
+    jobs = [(identity, nn.build_network(TINY_ARCH, ds.image_shape, ds.num_classes, seed=s), TINY_CFG, augment)
+            for s in (0, 1)]
+    with pytest.raises(AugmentFailed) as failure:
+        ensemble.train_submodels(jobs, ds)
+    assert failure.value.args[0] != os.getpid()
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------- stock plans
