@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Golden hashes: the sha256 of every CSV and saved model from two pipeline runs and the baselines.
+"""Golden hashes: the sha256 of every CSV, config copy and saved model from two pipeline runs and the baselines.
 
 Runs the CLI commands on two configs in a temporary directory:
 - `test09`: the six commands on the config of
@@ -13,16 +13,18 @@ command runs, on the desk data and training config of tests/conftest.py,
 and saves their networks under baselines/: the three Gaussian-noise
 members (sigma 0.02, seed 0) and the PGD adversarially trained network.
 
-It prints one `<sha256>  <path>` line per CSV and model file, sorted by
-path. Run it at two commits and diff the outputs: a change that keeps
-every line keeps every result byte for byte. It imports fenet from the
-checkout it lives in, so a copy of the script hashes that copy's code.
+It prints one `<sha256>  <path>` line per CSV, `<command>_<tag>.config.json`
+copy and model file, sorted by path. Run it at two commits and diff the
+outputs: a change that keeps every line keeps every result byte for byte.
+It imports fenet from the checkout it lives in, so a copy of the script
+hashes that copy's code.
 
 `--diff DIR_A DIR_B` runs nothing. It compares two `--keep` directories:
-it names each CSV or model that exists on one side only or whose bytes
-differ, and for a differing CSV prints the largest absolute and relative
-difference over its numeric cells, so a change that alters float rounding
-shows how far each output moved. It exits 1 when any output differs.
+it names each CSV, config copy or model that exists on one side only or
+whose bytes differ, and for a differing CSV prints the largest absolute
+and relative difference over its numeric cells, so a change that alters
+float rounding shows how far each output moved. It exits 1 when any
+output differs.
 
     python3 scripts/golden_csvs.py [--only test09|desk|baselines] [--keep DIR]
     python3 scripts/golden_csvs.py --diff DIR_A DIR_B
@@ -86,7 +88,7 @@ def sha256(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def outputs(root, suffixes=(".csv", ".fenet")):
+def outputs(root, suffixes=(".csv", ".config.json", ".fenet")):
     """Paths under `root` ending in one of `suffixes`, relative to it."""
     found = []
     for base, _, files in os.walk(root):
@@ -122,7 +124,7 @@ def cell_diff(a, b):
 
 
 def diff_dirs(dir_a, dir_b) -> int:
-    """Print one line per CSV or model that differs between two --keep directories; 1 if any does."""
+    """Print one line per CSV, config copy or model that differs between two --keep directories; 1 if any does."""
     files_a, files_b = outputs(dir_a), outputs(dir_b)
     for path in sorted(set(files_a) ^ set(files_b)):
         print(f"{path}: only in {dir_a if path in files_a else dir_b}")
@@ -132,7 +134,10 @@ def diff_dirs(dir_a, dir_b) -> int:
         if sha256(a) == sha256(b):
             same += 1
             continue
-        moved = cell_diff(a, b) if path.endswith(".csv") else "model bytes differ"
+        if path.endswith(".csv"):
+            moved = cell_diff(a, b)
+        else:
+            moved = "config bytes differ" if path.endswith(".json") else "model bytes differ"
         if isinstance(moved, str):
             print(f"{path}: {moved}")
         else:

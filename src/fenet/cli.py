@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import attacks, data, ensemble, filters as flt, model_io, nn, sensitivity
-from .util import is_int, is_number
+from .util import is_int, is_number, rewrite
 
 DATA_DIR_ENV = "FENET_DATA_DIR"
 
@@ -408,13 +408,10 @@ def _write_outputs(cfg, command: str, bodies: dict) -> list:
     for suffix, body in bodies.items():
         name = f"{command}_{cfg['tag']}{suffix}.csv"
         path = os.path.join(cfg["out_dir"], name)
-        with open(path, "w") as fh:
-            fh.write(head + body)
+        rewrite(path, (head + body).encode())
         paths.append(path)
     copy_path = os.path.join(cfg["out_dir"], f"{command}_{cfg['tag']}.config.json")
-    with open(copy_path, "w") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    rewrite(copy_path, (json.dumps(cfg, indent=2, sort_keys=True) + "\n").encode())
     return paths
 
 

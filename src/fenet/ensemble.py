@@ -11,6 +11,7 @@ of a batch via its network's Lipschitz product bound.
 
 import math
 import os
+import pickle
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
@@ -168,7 +169,9 @@ def train_submodels(jobs, dataset) -> list:
     usable CPU. The workers inherit the raw dataset through fork (only the
     job goes through a pipe, so its augment must pickle) and each filters
     it itself, so no process holds more than one filtered copy. With one
-    CPU, one job, or no fork, they run here in turn. Either way each result
+    CPU, one job, or no fork, they run here in turn. Every augment is
+    pickled before any job trains, on every path, so one that cannot
+    pickle raises TypeError whatever the CPU count. Either way each result
     has the bits of nn.train. The first failure (a job's exception, a
     KeyboardInterrupt, or BrokenProcessPool when a worker dies) reaches the
     caller at once: the workers still training are terminated. Every worker
@@ -176,6 +179,11 @@ def train_submodels(jobs, dataset) -> list:
     this process is killed.
     """
     jobs = list(jobs)
+    for i, (*_, augment) in enumerate(jobs):
+        try:
+            pickle.dumps(augment)
+        except (pickle.PicklingError, AttributeError, TypeError) as e:
+            raise TypeError(f"job {i}: the augment must pickle to reach a training worker ({e})") from e
     workers = min(len(jobs), _usable_cpus())
     if workers < 2 or not hasattr(os, "fork"):
         return [_train_job(dataset, *job) for job in jobs]

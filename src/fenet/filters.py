@@ -297,17 +297,22 @@ def _octree_chunk(imgs, max_colors, depth):
         np.repeat(np.arange(n, dtype=np.int64) << 24, h * w) | morton,
         return_index=True, return_inverse=True, return_counts=True,
     )
-    sums = np.zeros((len(keys), 3), dtype=np.int64)
-    np.add.at(sums, cell, codes)
+    # the float sums are exact: each is at most 255 per pixel, far below 2^53
+    sums = np.stack([np.bincount(cell, weights=codes[:, ch], minlength=len(keys))
+                     for ch in range(3)], axis=1).astype(np.int64)
+    # sep: the deepest shift, in levels, at which a cell and the cell before
+    # it are still apart, from the top bit of their xor (exact as a float,
+    # since keys are below 2^53). An image's first cell differs from the
+    # one before it above bit 24, so it is apart at every level. An image
+    # has as many cells at shift u as it has cells with sep >= u.
+    sep = np.full(len(keys), depth - 1)
+    sep[1:] = np.minimum((np.frexp(keys[1:] ^ keys[:-1])[1] - 1) // 3, depth - 1)
     owner, keys = keys >> 24, keys & 0xFFFFFF
+    levels = np.bincount(owner * depth + sep, minlength=n * depth).reshape(n, depth)
+    levels = levels[:, ::-1].cumsum(axis=1)[:, ::-1]
 
     # fold each image `up` levels: the most that leave it over max_colors cells
-    up = np.zeros(n, dtype=np.int64)
-    for u in range(1, depth):
-        many = np.bincount(owner[_run_starts(owner, keys >> 3 * u)], minlength=n) > max_colors
-        if not many.any():
-            break
-        up[many] = u
+    up = np.count_nonzero(levels[:, 1:] > max_colors, axis=1)
     shift = 3 * up[owner]
     start = _run_starts(owner, keys >> shift)
     kstart = np.flatnonzero(start)
@@ -366,13 +371,13 @@ def gaussian_mask(h: int, w: int, sigma: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _spectral_mask(h: int, w: int, sigma: float, mode: str) -> np.ndarray:
-    """The low or high mask in unshifted DFT order, (h, w, 1) to broadcast over channels."""
+    """The low or high mask in unshifted DFT order, (h, w)."""
     mask = gaussian_mask(h, w, sigma)
     if mode == "high":
         mask = 1.0 - mask
     # ifftshift(fftshift(F) * mask) == F * ifftshift(mask): a permutation,
     # so masking the unshifted spectrum gives the same bits
-    mask = np.fft.ifftshift(mask)[..., None]
+    mask = np.fft.ifftshift(mask)
     mask.setflags(write=False)
     return mask
 
@@ -389,10 +394,12 @@ def frequency_filter(img, sigma: float, mode: str, clamp: bool = True) -> np.nda
     mask = _spectral_mask(*img.shape[-3:-1], sigma, mode)
 
     def masked(chunk):
-        # fft2/ifft2 over axes (1, 2) run exactly these 1-D passes, last axis first
-        spectrum = np.fft.fft(np.fft.fft(chunk, axis=2), axis=1)
+        # fft2/ifft2 over (H, W) run exactly these 1-D passes, W first; on
+        # contiguous (n, C, H, W) planes each pass reads whole lines
+        planes = np.ascontiguousarray(chunk.transpose(0, 3, 1, 2))
+        spectrum = np.fft.fft(np.fft.fft(planes, axis=3), axis=2)
         spectrum *= mask
-        return np.fft.ifft(np.fft.ifft(spectrum, axis=2), axis=1).real
+        return np.fft.ifft(np.fft.ifft(spectrum, axis=3), axis=2).real.transpose(0, 2, 3, 1)
 
     # one FFT pair per chunk of images: a whole-batch spectrum would hold
     # complex copies of every image at once

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .nn import Network, layer_from_header
-from .util import is_int
+from .util import is_int, rewrite
 
 MAGIC = b"FENET1"
 
@@ -31,13 +31,8 @@ def _header_dict(net: Network) -> dict:
 
 def save_network(net: Network, path) -> None:
     header = json.dumps(_header_dict(net), sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(len(header).to_bytes(4, "big"))
-        f.write(header)
-        for layer in net.layers:
-            for p in layer.params:
-                f.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
+    params = [np.ascontiguousarray(p, dtype="<f8").tobytes() for layer in net.layers for p in layer.params]
+    rewrite(path, b"".join([MAGIC, len(header).to_bytes(4, "big"), header, *params]))
 
 
 def load_network(path) -> Network:

@@ -1,7 +1,8 @@
-"""Small shared helpers: seeded RNG streams, pixel clamping, half-up rounding, type tests."""
+"""Small shared helpers: seeded RNG streams, pixel clamping, half-up rounding, type tests, file rewrites."""
 
 import math
 import numbers
+import os
 
 import numpy as np
 
@@ -47,3 +48,17 @@ def is_number(v) -> bool:
         return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
     except OverflowError:  # an int past the float range
         return False
+
+
+def rewrite(path, data: bytes) -> None:
+    """Make `data` the whole content of the file at `path`, writing over its old bytes in place.
+
+    The same inode, mode and links as truncating and writing, but the file
+    is cut to length only after the write: ext4 starts writing back a file
+    that was truncated to zero and rewritten as soon as it is closed, which
+    makes each such rewrite several times slower and sometimes stalls it
+    for milliseconds.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        fh.truncate()

@@ -364,6 +364,31 @@ def test_rerun_is_byte_identical(run_dir, tmp_path):
     assert other == body
 
 
+def test_outputs_written_over_longer_files_hold_exactly_the_new_bytes(tmp_path):
+    argv = ["correlate", *BASE, "--tag", "t", "--set",
+            'noise={"epsilon_max":20,"samples_per_image":3,"num_images":8,"rng_seed":0,"select_k":2}']
+    fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+    assert cli.main([*argv, "--out-dir", str(fresh)]) == 0
+    stale.mkdir()
+    names = ("correlate_t.csv", "correlate_t.config.json")
+    for name in names:
+        (stale / name).write_bytes(b"stale\n" * 1000)
+    os.link(stale / names[1], tmp_path / "hard.json")
+    # the CSV is a symlink to a file outside the output directory
+    (tmp_path / "elsewhere.csv").write_bytes(b"stale\n" * 1000)
+    (stale / names[0]).unlink()
+    (stale / names[0]).symlink_to(tmp_path / "elsewhere.csv")
+    inode = os.stat(stale / names[1]).st_ino
+    assert cli.main([*argv, "--out-dir", str(stale)]) == 0
+    fresh_csv, stale_csv = (fresh / names[0]).read_bytes(), (tmp_path / "elsewhere.csv").read_bytes()
+    # the provenance line hashes out_dir, so only the body can be compared across directories
+    assert stale_csv.split(b"\n", 1)[1] == fresh_csv.split(b"\n", 1)[1]
+    assert (stale / names[0]).is_symlink()
+    assert os.stat(stale / names[1]).st_ino == inode
+    copied = (tmp_path / "hard.json").read_bytes()
+    assert copied == (json.dumps(json.loads(copied), indent=2, sort_keys=True) + "\n").encode()
+
+
 def test_unknown_config_field_exits_nonzero(tmp_path, capsys):
     rc = run_cli("train", tmp_path, "--set", "train.rng_sed=1")
     assert rc == 2

@@ -500,6 +500,22 @@ def test_an_augment_that_fails_in_a_worker_raises_its_own_error(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_an_augment_that_cannot_pickle_fails_before_any_training_on_any_cpu_count(cpus, monkeypatch):
+    trained = []
+    monkeypatch.setattr(nn, "train", lambda *args: trained.append(args))
+    monkeypatch.setattr(ensemble, "_usable_cpus", lambda: cpus)
+    ds = tiny_dataset()
+    identity = flt.filter_spec("identity")
+    augments = [None, lambda net, rng, xb, yb: xb]
+    jobs = [(identity, nn.build_network(TINY_ARCH, ds.image_shape, ds.num_classes, seed=s), TINY_CFG, augment)
+            for s, augment in enumerate(augments)]
+    with pytest.raises(TypeError, match="job 1: the augment must pickle"):
+        ensemble.train_submodels(jobs, ds)
+    assert trained == []
+    assert multiprocessing.active_children() == []
+
+
 # ---------------------------------------------------------------- stock plans
 
 

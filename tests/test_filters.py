@@ -801,3 +801,76 @@ def test_images_folding_to_different_levels_keep_their_own_cells():
     batch[1, 0, 0] = 0.0
     want = np.stack([_octree_oracle(img, 2, 7) for img in batch])
     assert np.array_equal(octree_quantize(batch, 2, 7), want)
+
+
+# ---------------------------------------------------------------- kernel pins
+# frequency_filter transforms contiguous (n, C, H, W) planes, and the octree
+# finds each image's fold depth in one pass over its sorted cells; both must
+# keep the oracles' bits.
+
+_ODD = (2 * (_CHUNK_PIXELS // (7 * 13)) + 1, 7, 13)  # odd H != W, a batch over 3 chunks
+
+
+@pytest.mark.parametrize("c", [1, 3])
+@pytest.mark.parametrize("mode", ["low", "high"])
+@pytest.mark.parametrize("clamp", [True, False])
+def test_frequency_filter_on_channel_planes_matches_the_oracle(c, mode, clamp):
+    batch = np.random.default_rng(c).uniform(-0.5, 1.5, size=_ODD + (c,))
+    want = np.stack([_frequency_oracle(img, 2.5, mode, clamp) for img in batch])
+    assert np.array_equal(frequency_filter(batch, 2.5, mode, clamp=clamp), want)
+
+
+def _cell_colors(rng, cells, level):
+    """One 8-bit RGB color inside each level-`level` octree cell (Morton codes), low bits random."""
+    rgb = np.zeros((len(cells), 3), dtype=np.int64)
+    for j in range(level):  # the cell's 3-bit groups, top level first
+        group = cells >> 3 * (level - 1 - j) & 7
+        for ch in range(3):
+            rgb[:, ch] |= (group >> (2 - ch) & 1) << (7 - j)
+    return rgb | rng.integers(1 << (8 - level), size=rgb.shape)
+
+
+def _fold_depth(img, k, depth):
+    """How many levels the octree folds the image straight up, counted from its distinct cells."""
+    codes = round_half_up(clamp01(img) * 255.0).astype(np.int64).reshape(-1, 3)
+    cells = [len(np.unique(codes >> (8 - level), axis=0)) for level in range(depth + 1)]
+    return sum(cells[depth - u] > k for u in range(1, depth))
+
+
+def _stops_at(rng, u, depth, k, h=6, w=6):
+    """An image that folds exactly `u` levels: at most k parent cells, more than k children under them.
+
+    The groups differ in size, so the ranked pass after the fold often
+    stops part way and leaves cells at the fold level.
+    """
+    level = depth - u
+    while True:
+        parents = rng.choice(8 ** (level - 1), size=rng.integers(1, min(k, 8 ** (level - 1)) + 1), replace=False)
+        cells = np.concatenate([p * 8 + rng.choice(8, rng.integers(1, 9), replace=False) for p in parents])
+        if len(cells) > k:
+            break
+    colors = _cell_colors(rng, cells, level)
+    pick = np.concatenate([np.arange(len(colors)), rng.integers(len(colors), size=h * w - len(colors))])
+    return colors[rng.permutation(pick)].reshape(h, w, 3) / 255
+
+
+@pytest.mark.parametrize("depth", [1, 2, 5, 7, 8])
+def test_one_chunk_of_images_folding_to_every_depth_matches_the_oracle(depth):
+    k = 4
+    rng = np.random.default_rng(depth)
+    ups = [*range(depth), *reversed(range(depth))] * 4
+    batch = np.stack([_stops_at(rng, u, depth, k) for u in ups])
+    assert batch.shape[0] * 36 <= _CHUNK_PIXELS
+    assert [_fold_depth(img, k, depth) for img in batch] == ups
+    want = np.stack([_octree_oracle(img, k, depth) for img in batch])
+    assert np.array_equal(octree_quantize(batch, k, depth), want)
+
+
+@pytest.mark.parametrize("depth", [1, 8])
+def test_octree_with_room_for_every_leaf_only_averages_cells(depth):
+    batch = np.random.default_rng(depth).uniform(-0.2, 1.2, size=(5, 9, 11, 3))
+    want = np.stack([_octree_oracle(img, 99, depth) for img in batch])
+    out = octree_quantize(batch, 99, depth)
+    assert np.array_equal(out, want)
+    if depth == 8:  # one color per leaf: its own grid point
+        assert np.array_equal(out, round_half_up(clamp01(batch) * 255.0) / 255.0)

@@ -1,4 +1,4 @@
-"""scripts/golden_csvs.py --diff: every differing CSV or model is named, and the exit code gates."""
+"""scripts/golden_csvs.py --diff: every differing CSV, config copy or model is named, and the exit code gates."""
 
 import importlib.util
 import os
@@ -62,3 +62,15 @@ def test_one_sided_file_alone_fails(golden, tmp_path, capsys):
     write(tmp_path / "b", {**BASE, "desk/models/octree16.fenet": b"FENET"})
     assert golden.diff_dirs(str(tmp_path / "a"), str(tmp_path / "b")) == 1
     assert "desk/models/octree16.fenet: only in" in capsys.readouterr().out
+
+
+def test_config_copies_are_hashed_and_a_reformatted_one_fails(golden, tmp_path, capsys):
+    config = b'{\n  "seed": 0,\n  "tag": "mincorr"\n}\n'
+    write(tmp_path / "a", {**BASE, "desk/certify_mincorr.config.json": config})
+    write(tmp_path / "b", {**BASE, "desk/certify_mincorr.config.json": b'{"seed": 0, "tag": "mincorr"}'})
+    assert "desk/certify_mincorr.config.json" in golden.outputs(str(tmp_path / "a"))
+    assert golden.diff_dirs(str(tmp_path / "a"), str(tmp_path / "b")) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "desk/certify_mincorr.config.json: config bytes differ",
+        "3 output(s) identical",
+    ]
