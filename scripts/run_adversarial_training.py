@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from fenet import attacks, data, ensemble, nn
+from fenet import attacks, data, ensemble, nn, util
 from fenet.attacks import AttackConfig
 from fenet.cli import DESK_ARCH
 
@@ -23,6 +23,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-dir", default="runs/adversarial_training")
     args = parser.parse_args()
+    util.keep_freed_heap()  # it trains without fenet.cli.main, which would set the policy
     train_ds = data.synth_shapes(150, size=16, seed=101)
     test_ds = data.synth_shapes(50, size=16, seed=202)
     tcfg = nn.TrainConfig(learning_rates=(0.1, 0.01, 0.001), epochs_per_rate=3,

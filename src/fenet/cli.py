@@ -9,7 +9,6 @@ byte-identical files. Epsilon fields are integers in 1/255 units.
 """
 
 import argparse
-import copy
 import dataclasses
 import functools
 import hashlib
@@ -23,7 +22,7 @@ import sys
 import numpy as np
 
 from . import attacks, data, ensemble, filters as flt, model_io, nn, sensitivity
-from .util import is_int, is_number, rewrite
+from .util import is_int, is_number, keep_freed_heap, rewrite
 
 DATA_DIR_ENV = "FENET_DATA_DIR"
 
@@ -76,6 +75,9 @@ DEFAULT_CONFIG = {
     "ensemble": {"plan": "mincorr", "members": None},
     "certify": {"num_inputs": 100, "power_seed": 0},
 }
+# Each command starts from a fresh copy of the defaults; json.loads of this
+# text is a deep copy at C speed.
+_DEFAULT_JSON = json.dumps(DEFAULT_CONFIG)
 
 
 class ConfigError(ValueError):
@@ -223,12 +225,12 @@ def _apply_override(cfg: dict, expr: str) -> None:
         node = node.setdefault(k, {}) if isinstance(node, dict) else None
     _expect(isinstance(node, dict), f"{path}: unknown field")
     if path not in _RULES and isinstance(DEFAULT_CONFIG.get(path), dict):
-        node[key] = copy.deepcopy(DEFAULT_CONFIG[path])  # an object replaces a block; omitted keys keep defaults
+        node[key] = json.loads(_DEFAULT_JSON)[path]  # an object replaces a block; omitted keys keep defaults
     _merge(node, {key: value}, parent)
 
 
 def load_config(args) -> dict:
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    cfg = json.loads(_DEFAULT_JSON)
     if args.config:
         try:
             with open(args.config) as fh:
@@ -571,6 +573,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    keep_freed_heap()  # before any work, so training and its forked workers reuse freed memory
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args)

@@ -1,5 +1,8 @@
-"""Small shared helpers: seeded RNG streams, pixel clamping, half-up rounding, type tests, file rewrites."""
+"""Small shared helpers: seeded RNG streams, pixel clamping, half-up rounding, type tests, file rewrites,
+the process's malloc policy."""
 
+import ctypes
+import functools
 import math
 import numbers
 import os
@@ -7,6 +10,7 @@ import os
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, from glibc's malloc.h
 
 
 def rng_from(*keys) -> np.random.Generator:
@@ -62,3 +66,30 @@ def rewrite(path, data: bytes) -> None:
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
         fh.write(data)
         fh.truncate()
+
+
+@functools.cache
+def keep_freed_heap() -> bool:
+    """Have malloc keep freed memory in this process for the next allocation; True if it was set.
+
+    glibc by default gives the top of the heap back to the OS as soon as a
+    few hundred KB of it are free, and maps blocks past its mmap threshold
+    afresh, so each SGD step page-faults its numpy temporaries (0.1-3 MB)
+    in again. This sets both thresholds to the ceilings that glibc's own
+    dynamic thresholds reach on 64-bit: blocks under 32 MiB come from the
+    heap, and up to 64 MiB of free heap stays in the process. Larger blocks
+    are still mapped and unmapped one by one. Only the allocator's reuse
+    changes, never a computed bit.
+
+    It runs once per process; processes forked later inherit the setting.
+    It is a no-op where the C library has no mallopt (macOS, for one).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library to look in
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mmap_set = mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    trim_set = mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    return bool(mmap_set and trim_set)
