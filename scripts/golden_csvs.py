@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""Golden hashes: the sha256 of every CSV, config copy and saved model from two pipeline runs and the baselines.
+"""Golden hashes: the sha256 of every CSV, config copy and saved model from three pipeline runs and the baselines.
 
-Runs the CLI commands on two configs in a temporary directory:
+Runs the CLI commands on three configs in a temporary directory:
 - `test09`: the six commands on the config of
   tests/test_acceptance.py::test_09 (7 CSVs);
 - `desk`: train, correlate, attack and transfer on scripts/desk_config.json,
   then ensemble-eval with attack.bpda="adjoint" and certify for the mincorr
-  and maxcorr plans, as scripts/run_ensemble_comparison.py does (10 CSVs).
+  and maxcorr plans, as scripts/run_ensemble_comparison.py does (10 CSVs);
+- `corr32`: correlate on the synthetic corpus of scripts/run_correlation.py
+  (32x32 images, 25 per class, test seed 404), whose 11-image batches
+  span several of the octree's and the low/high pass's 4,096-pixel
+  chunks (1 CSV).
 
 The `baselines` set trains the two comparison defences that no CLI
 command runs, on the desk data and training config of tests/conftest.py,
@@ -26,7 +30,7 @@ and relative difference over its numeric cells, so a change that alters
 float rounding shows how far each output moved. It exits 1 when any
 output differs.
 
-    python3 scripts/golden_csvs.py [--only test09|desk|baselines] [--keep DIR]
+    python3 scripts/golden_csvs.py [--only test09|desk|corr32|baselines] [--keep DIR]
     python3 scripts/golden_csvs.py --diff DIR_A DIR_B
 """
 
@@ -56,6 +60,12 @@ TEST09 = [
     "--set", "certify.num_inputs=5",
 ]
 DESK = ["--config", os.path.join(ROOT, "scripts", "desk_config.json")]
+CORR32 = [  # the synthetic corpus of scripts/run_correlation.py
+    "--tag", "synth",
+    "--set", "dataset.test_per_class=25",
+    "--set", "dataset.size=32",
+    "--set", "dataset.test_seed=404",
+]
 
 
 def runs():
@@ -69,6 +79,7 @@ def runs():
         yield "desk", ["ensemble-eval", "--out-dir", "desk", *DESK, *plan_args,
                        "--set", 'attack.bpda="adjoint"']
         yield "desk", ["certify", "--out-dir", "desk", *DESK, *plan_args]
+    yield "corr32", ["correlate", "--out-dir", "corr32", *CORR32]
 
 
 def save_baselines(out_dir):
@@ -148,7 +159,7 @@ def diff_dirs(dir_a, dir_b) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", choices=("test09", "desk", "baselines"), help="run one set only")
+    parser.add_argument("--only", choices=("test09", "desk", "corr32", "baselines"), help="run one set only")
     parser.add_argument("--keep", help="run in this directory and keep the outputs")
     parser.add_argument("--diff", nargs=2, metavar=("DIR_A", "DIR_B"),
                         help="compare the outputs of two --keep directories instead of running")

@@ -136,8 +136,8 @@ def apply_batch(spec: FilterSpec, imgs) -> np.ndarray:
 
 # Octree and frequency filters work through a batch this many pixels at a
 # time: enough 16x16 images per numpy call to amortise its overhead, while
-# a chunk's temporaries stay under a megabyte (about 150 bytes per pixel
-# for the octree or the FFT pair, above the output).
+# a chunk's temporaries stay under a megabyte (about 100 bytes per pixel
+# for the octree and 170 for the FFT pair, above the output).
 _CHUNK_PIXELS = 4096
 
 
@@ -271,6 +271,8 @@ def octree_quantize(img, max_colors: int = 16, depth: int = 7) -> np.ndarray:
         raise ValueError(f"max_colors must be >= 2, got {max_colors}")
     if not 1 <= depth <= 8:
         raise ValueError(f"depth must be in [1, 8], got {depth}")
+    if not np.isfinite(img).all():  # NaN would reach the palette as a garbage index
+        raise ValueError("image contains non-finite pixels")
     return _by_chunks(functools.partial(_octree_chunk, max_colors=max_colors, depth=depth), img)
 
 
@@ -281,6 +283,35 @@ def _run_starts(owner, key) -> np.ndarray:
     return start
 
 
+def _unique_runs(keys):
+    """np.unique(keys, return_index=True, return_inverse=True, return_counts=True), from one plain sort.
+
+    np.unique needs a stable argsort to give each key's first position.
+    Here each key carries its position in its low `bits` bits instead, so
+    no two are equal and numpy's fastest sort, stable or not, puts every
+    run of equal keys in position order: a run's first entry is the key's
+    first position. Overwrites `keys`, an int64 array of length >= 1 whose
+    values stay below 2**(63 - bits), bits being the bit length of its
+    last position.
+    """
+    n = len(keys)
+    bits = (n - 1).bit_length()
+    keys <<= bits
+    keys |= np.arange(n)
+    keys.sort()
+    pos = keys & ((1 << bits) - 1)
+    keys >>= bits
+    # run edges: where a run of equal keys starts, and the end of the array
+    edge = np.empty(n + 1, dtype=bool)
+    edge[0] = edge[n] = True
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:n])
+    edge = np.flatnonzero(edge)
+    first, count = edge[:-1], edge[1:] - edge[:-1]
+    inverse = np.empty(n, dtype=np.int64)
+    inverse[pos] = np.repeat(np.arange(len(first)), count)  # each sorted key's run number
+    return keys[first], pos[first], inverse, count
+
+
 def _octree_chunk(imgs, max_colors, depth):
     n, h, w, _ = imgs.shape
     codes = round_half_up(clamp01(imgs) * 255.0).astype(np.int64).reshape(n * h * w, 3)
@@ -288,18 +319,23 @@ def _octree_chunk(imgs, max_colors, depth):
     # the cell at level l is the top 3*l bits, and in sorted cells every
     # sibling group is one contiguous run
     spread = _SPREAD3[codes]
-    morton = spread[:, 0] << 2 | spread[:, 1] << 1 | spread[:, 2]
-    morton >>= 3 * (8 - depth)
+    keys = spread[:, 0] << 2 | spread[:, 1] << 1 | spread[:, 2]
+    del spread  # the chunk's peak memory comes at the color sums below
+    keys >>= 3 * (8 - depth)
     # leaves: each image's cells at the working depth, sorted by image index
     # (above bit 24), then Morton code; colors differing below `depth` share
     # a cell. A cell's first pixel orders it as its first-appearing color would.
-    keys, seq, cell, count = np.unique(
-        np.repeat(np.arange(n, dtype=np.int64) << 24, h * w) | morton,
-        return_index=True, return_inverse=True, return_counts=True,
-    )
+    # Key bound: a chunk holds more than one image only when h*w <= 2,048
+    # (_CHUNK_PIXELS // 2), so at most 4,096 images and keys below 2**36,
+    # with positions in at most 12 bits; a one-image chunk's keys stay below
+    # 2**24. Either way the position-tagged keys fit an int64.
+    keys |= np.repeat(np.arange(n, dtype=np.int64) << 24, h * w)
+    keys, seq, cell, count = _unique_runs(keys)
     # the float sums are exact: each is at most 255 per pixel, far below 2^53
-    sums = np.stack([np.bincount(cell, weights=codes[:, ch], minlength=len(keys))
-                     for ch in range(3)], axis=1).astype(np.int64)
+    sums = np.empty((len(keys), 3), dtype=np.int64)
+    for ch in range(3):
+        sums[:, ch] = np.bincount(cell, weights=codes[:, ch], minlength=len(keys))
+    del codes  # and the fold passes run close to that peak
     # sep: the deepest shift, in levels, at which a cell and the cell before
     # it are still apart, from the top bit of their xor (exact as a float,
     # since keys are below 2^53). An image's first cell differs from the
@@ -319,7 +355,7 @@ def _octree_chunk(imgs, max_colors, depth):
     keys, owner = keys[kstart] >> shift[kstart], owner[kstart]
     sums, count = np.add.reduceat(sums, kstart), np.add.reduceat(count, kstart)
     seq = np.minimum.reduceat(seq, kstart)
-    cell = (np.cumsum(start) - 1)[cell]
+    leaf_cell = np.cumsum(start) - 1
 
     # the ranked pass: a group folds while more than max_colors cells of its
     # image remain before it, and its fold removes all but one of its cells
@@ -340,10 +376,12 @@ def _octree_chunk(imgs, max_colors, depth):
     keep = start | ~taken[np.cumsum(start) - 1]
     kstart = np.flatnonzero(keep)
     sums, count = np.add.reduceat(sums, kstart), np.add.reduceat(count, kstart)
-    cell = (np.cumsum(keep) - 1)[cell]
+    leaf_cell = (np.cumsum(keep) - 1)[leaf_cell]
 
-    palette = (2 * sums + count[:, None]) // (2 * count[:, None])
-    return palette[cell].reshape(n, h, w, 3) / 255.0
+    palette = (2 * sums + count[:, None]) // (2 * count[:, None]) / 255.0
+    # both remaps composed over the leaves, so each pixel is gathered once
+    # (np.take gathers rows faster than indexing does)
+    return np.take(np.take(palette, leaf_cell, axis=0), cell, axis=0).reshape(n, h, w, 3)
 
 
 # ------------------------------------------------------------- frequency domain

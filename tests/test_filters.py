@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +9,9 @@ from hypothesis.extra import numpy as hnp
 
 from fenet.filters import (
     _CHUNK_PIXELS,
+    _SPREAD3,
+    _by_chunks,
+    _unique_runs,
     KINDS,
     FilterSpec,
     apply,
@@ -298,6 +303,16 @@ def test_octree_validates_params():
         octree_quantize(img, 16, depth=0)
     with pytest.raises(ValueError):
         octree_quantize(img, 16, depth=9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_octree_rejects_non_finite_pixels(bad):
+    img = rand_img(3, 4, 4)
+    img[1, 2, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no cast warning on the way to the error
+        with pytest.raises(ValueError, match="image contains non-finite pixels"):
+            octree_quantize(img)
 
 
 class _OracleNode:
@@ -874,3 +889,96 @@ def test_octree_with_room_for_every_leaf_only_averages_cells(depth):
     assert np.array_equal(out, want)
     if depth == 8:  # one color per leaf: its own grid point
         assert np.array_equal(out, round_half_up(clamp01(batch) * 255.0) / 255.0)
+
+
+# ---------------------------------------------------------------- leaf grouping
+# _octree_chunk groups its leaves with one sort of position-tagged keys. The
+# groups must be np.unique's, first positions and inverse included, up to
+# the widest keys a chunk can hold.
+
+def _morton(codes, depth=8):
+    """Leaf keys of (N, 3) 8-bit colors, as _octree_chunk builds them before the image field."""
+    spread = _SPREAD3[codes]
+    return (spread[:, 0] << 2 | spread[:, 1] << 1 | spread[:, 2]) >> 3 * (8 - depth)
+
+
+def _widest_image_field():
+    """4,096 one-pixel images at depth 8 in one chunk: the most images, each up to the top leaf."""
+    codes = np.random.default_rng(8).integers(256, size=(_CHUNK_PIXELS, 3))
+    codes[-1] = 255  # the last image's leaf is the largest there is
+    keys = np.arange(_CHUNK_PIXELS, dtype=np.int64) << 24 | _morton(codes)
+    assert keys.max() == 2**36 - 1
+    return keys
+
+
+def _widest_position_field():
+    """One 128x128 image alone in its chunk: 16,384 positions, leaves below 2**24."""
+    codes = np.random.default_rng(128).integers(256, size=(128 * 128, 3))
+    codes[::7] = codes[0]  # runs of equal keys spread across the image
+    return _morton(codes)
+
+
+GROUPING_KEYS = {
+    "all equal": lambda: np.full(1000, 5, dtype=np.int64),
+    "all distinct": lambda: np.random.default_rng(1).permutation(3000).astype(np.int64),
+    "descending": lambda: np.repeat(np.arange(600, 0, -1, dtype=np.int64), 3) << 20,
+    "one key": lambda: np.array([2**40], dtype=np.int64),
+    "widest image field": _widest_image_field,
+    "widest position field": _widest_position_field,
+}
+
+
+@pytest.mark.parametrize("name", GROUPING_KEYS)
+def test_leaf_grouping_matches_np_unique(name):
+    keys = GROUPING_KEYS[name]()
+    want = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
+    got = _unique_runs(keys.copy())
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == np.int64 and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("h, w", [(1, 1), (7, 13), (32, 64), (2048, 1), (2049, 1), (128, 128)])
+def test_octree_chunks_keep_the_packed_key_bound(h, w):
+    # the bound _octree_chunk's comment states: a chunk holds more than one
+    # image only when h*w <= 2,048, so the image field stays below 2**12 and
+    # the key below 2**36, with positions in at most 12 bits; a one-image
+    # chunk's key stays below 2**24 before the shift
+    sizes = []
+
+    def record(chunk):
+        sizes.append(len(chunk))
+        return chunk
+
+    _by_chunks(record, np.zeros((_CHUNK_PIXELS + 3, h, w, 1)))
+    most = max(sizes)
+    top_key = (most - 1) << 24 | (1 << 24) - 1
+    bits = (most * h * w - 1).bit_length()
+    if most > 1:
+        assert h * w <= 2048 and top_key < 2**36 and bits <= 12
+    else:
+        assert h * w > 2048 and top_key < 2**24
+    assert top_key << bits < 2**63
+
+
+def test_one_pixel_images_filling_a_chunk_match_the_oracle():
+    codes = np.random.default_rng(9).integers(256, size=(_CHUNK_PIXELS, 1, 1, 3))
+    codes[-1] = 255
+    batch = codes / 255.0
+    want = np.stack([_octree_oracle(img, 2, 8) for img in batch])
+    assert np.array_equal(octree_quantize(batch, 2, 8), want)
+
+
+def test_one_octree_chunk_allocates_under_a_megabyte():
+    # README's promise for a 4,096-pixel chunk, output included; distinct
+    # colors at depth 8 give the most leaves
+    batch = np.random.default_rng(4).uniform(size=(_CHUNK_PIXELS // (32 * 32), 32, 32, 3))
+    octree_quantize(batch, 16, 8)  # any first-call caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        octree_quantize(batch, 16, 8)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000
