@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .util import clamp01, rng_from
+from .util import clamp01, is_number, rng_from
 
 METHODS = ("fgsm", "bim", "pgd")
 
@@ -34,8 +34,8 @@ class AttackConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.radius < 0:
-            raise ValueError(f"radius must be >= 0, got {self.radius}")
+        if not (is_number(self.radius) and self.radius >= 0):
+            raise ValueError(f"radius must be a finite number >= 0, got {self.radius}")
         if self.norm in ("inf", "Inf", np.inf):
             self.norm = np.inf
         elif self.norm in (2, 2.0, "2"):

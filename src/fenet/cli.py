@@ -254,6 +254,7 @@ def _validate(cfg: dict) -> None:
     for path, rule in _RULES.items():
         rule(path, _lookup(cfg, path))
     filters = cfg["filters"]
+    _expect(len(set(filters)) == len(filters), "filters: duplicate names")
     _expect(cfg["attack"]["source"] in filters, "attack.source: must be one of the listed filters")
     _expect(cfg["noise"]["select_k"] <= len(filters),
             f"noise.select_k: must be <= the {len(filters)} listed filters")
@@ -314,26 +315,6 @@ def _output_shape(bank, name, in_shape) -> tuple:
         return flt.output_shape(bank[name], in_shape)
     except ValueError as e:  # the message starts with the parameter at fault
         raise ConfigError(f"filter_params.{name}.{e}") from None
-
-
-def _correlate_bank(cfg, in_shape) -> dict:
-    """Ordered column -> spec map for in_shape images; a repeated filter gets a suffixed column."""
-    bank = _bank(cfg)
-    out = {}
-    for name in cfg["filters"]:
-        key, n = name, 1
-        while key in out:
-            n += 1
-            key = f"{name}_{n}"
-        _output_shape(bank, name, in_shape)
-        out[key] = bank[name]
-    return out
-
-
-def _unique_filters(cfg) -> list:
-    names = cfg["filters"]
-    _expect(len(set(names)) == len(names), "filters: duplicate names; only the correlate command accepts duplicates")
-    return names
 
 
 def _dataset(cfg, split: str):
@@ -433,7 +414,7 @@ def cmd_train(cfg) -> list:
     train_ds = _dataset(cfg, "train")
     bank = _bank(cfg)
     tcfg = _train_config(cfg)
-    names = _unique_filters(cfg)
+    names = cfg["filters"]
     # every filter's network is built before any is trained, so an arch that
     # fits only some filter outputs fails before a model file is written
     nets = [
@@ -454,7 +435,10 @@ def cmd_train(cfg) -> list:
 
 def cmd_correlate(cfg) -> list:
     test_ds = _dataset(cfg, "test")
-    bank = _correlate_bank(cfg, test_ds.image_shape)
+    full = _bank(cfg)
+    bank = {name: full[name] for name in cfg["filters"]}
+    for name in bank:
+        _output_shape(full, name, test_ds.image_shape)
     ncfg = _noise_config(cfg)
     try:
         matrix = sensitivity.pearson_matrix(sensitivity.sample_sensitivities(bank, test_ds, ncfg), tuple(bank))
@@ -482,7 +466,7 @@ def cmd_attack(cfg) -> list:
     test_ds = _dataset(cfg, "test")
     bank = _bank(cfg)
     targets = {name: _load_submodel(cfg, bank, name, name, test_ds.image_shape)
-               for name in _unique_filters(cfg)}
+               for name in cfg["filters"]}
     rows = _attack_rows(cfg, targets, test_ds)
     return _write_outputs(cfg, "attack", {"": attacks.accuracy_table_csv(rows)})
 
@@ -492,7 +476,7 @@ def cmd_transfer(cfg) -> list:
     bank = _bank(cfg)
     load = functools.partial(_load_submodel, cfg, bank, in_shape=test_ds.image_shape)
     source = load(cfg["attack"]["source"], cfg["attack"]["source"])
-    targets = {name: load(name, name) for name in _unique_filters(cfg)}
+    targets = {name: load(name, name) for name in cfg["filters"]}
     epsilons = [eps / 255 for eps in cfg["attack"]["epsilons"]]
     rows = attacks.transfer_eval(source, targets, test_ds, epsilons, _attack_config(cfg, cfg["attack"]["epsilons"][0]))
     return _write_outputs(cfg, "transfer", {"": attacks.accuracy_table_csv(rows)})

@@ -57,13 +57,13 @@ class Dataset:
 
 # ------------------------------------------------------------- binary format
 
-def read_cifar_batch(path, size: int = 32):
+def read_cifar_batch(path):
     """Read one binary batch: records of 1 label byte + planar R,G,B pixel bytes."""
     if not os.path.isfile(path):
         raise DatasetFormatError(f"missing batch file: {path}")
     with open(path, "rb") as f:
         blob = f.read()
-    record = 1 + 3 * size * size
+    record = 1 + _RECORD_PIXELS
     if len(blob) == 0 or len(blob) % record != 0:
         full = len(blob) // record
         raise DatasetFormatError(
@@ -72,7 +72,7 @@ def read_cifar_batch(path, size: int = 32):
         )
     raw = np.frombuffer(blob, dtype=np.uint8).reshape(-1, record)
     labels = raw[:, 0].astype(np.intp)
-    planes = raw[:, 1:].reshape(-1, 3, size, size)
+    planes = raw[:, 1:].reshape(-1, 3, 32, 32)
     images = planes.transpose(0, 2, 3, 1).astype(np.float64) / 255.0
     return images, labels
 

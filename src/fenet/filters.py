@@ -61,8 +61,9 @@ class FilterSpec:
             if not test(value):
                 raise ValueError(f"{self.kind} {name} must be {wanted}, got {value!r}")
 
-    def param(self, name, default=None):
-        return self.params.get(name, default)
+    def param(self, name):
+        """The parameter's value, or its default in _PARAMS when not given."""
+        return self.params.get(name, _PARAMS[self.kind][name][0])
 
 
 def filter_spec(kind, **params) -> FilterSpec:
@@ -118,9 +119,9 @@ def apply(spec: FilterSpec, img) -> np.ndarray:
     elif spec.kind == "grayscale":
         out = grayscale(img)
     elif spec.kind == "octree":
-        out = octree_quantize(img, spec.param("max_colors", 16), spec.param("depth", 7))
+        out = octree_quantize(img, spec.param("max_colors"), spec.param("depth"))
     else:
-        out = frequency_filter(img, spec.param("sigma", 8.0), mode=spec.kind[:-4])
+        out = frequency_filter(img, spec.param("sigma"), mode=spec.kind[:-4])
     # every branch returns a fresh array, so clamping in place is safe
     return np.clip(out, 0.0, 1.0, out=out)
 
@@ -386,17 +387,6 @@ def _octree_chunk(imgs, max_colors, depth):
 
 # ------------------------------------------------------------- frequency domain
 
-def dft2(channel) -> np.ndarray:
-    """2D DFT of a single channel, shifted so DC sits at (H//2, W//2)."""
-    channel = np.asarray(channel, dtype=np.float64)
-    return np.fft.fftshift(np.fft.fft2(channel))
-
-
-def idft2(spectrum) -> np.ndarray:
-    """Inverse of dft2; returns the real part."""
-    return np.fft.ifft2(np.fft.ifftshift(np.asarray(spectrum))).real
-
-
 def gaussian_mask(h: int, w: int, sigma: float) -> np.ndarray:
     """exp(-D^2 / 2 sigma^2) with D the distance from the spectrum center."""
     if not sigma > 0:
@@ -420,11 +410,11 @@ def _spectral_mask(h: int, w: int, sigma: float, mode: str) -> np.ndarray:
     return mask
 
 
-def frequency_filter(img, sigma: float, mode: str, clamp: bool = True) -> np.ndarray:
+def frequency_filter(img, sigma: float, mode: str) -> np.ndarray:
     """Gaussian low-pass or its complement applied in the frequency domain.
 
-    The two masks sum to one, so the unclamped low and high outputs add back
-    up to the input exactly.
+    The output is not clamped (`apply` clamps every filter), so the low and
+    high outputs add back up to the input exactly: the two masks sum to one.
     """
     if mode not in ("low", "high"):
         raise ValueError(f"mode must be 'low' or 'high', got {mode!r}")
@@ -441,8 +431,7 @@ def frequency_filter(img, sigma: float, mode: str, clamp: bool = True) -> np.nda
 
     # one FFT pair per chunk of images: a whole-batch spectrum would hold
     # complex copies of every image at once
-    out = _by_chunks(masked, img)
-    return np.clip(out, 0.0, 1.0, out=out) if clamp else out
+    return _by_chunks(masked, img)
 
 
 # ------------------------------------------------------------- backward rules
@@ -469,5 +458,5 @@ def bpda_backward(spec: FilterSpec, gy, in_shape, mode: str = "identity") -> np.
     if spec.kind == "grayscale":
         return gy * LUMA_WEIGHTS
     if mode == "adjoint" and spec.kind in ("lowpass", "highpass"):
-        return frequency_filter(gy, spec.param("sigma", 8.0), mode=spec.kind[:-4], clamp=False)
+        return frequency_filter(gy, spec.param("sigma"), mode=spec.kind[:-4])
     return gy.copy()

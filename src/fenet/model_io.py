@@ -72,6 +72,8 @@ def load_network(path) -> Network:
                 .astype(np.float64)
                 .reshape(s)
             )
+            if not np.isfinite(arrays[-1]).all():
+                raise ModelFormatError(f"{path}: the parameter tensor at byte {off} holds a non-finite value")
             off += nbytes
         if arrays:
             layer.params = arrays

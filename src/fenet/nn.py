@@ -557,8 +557,8 @@ class TrainConfig:
 
     def __post_init__(self):
         self.learning_rates = tuple(float(r) for r in self.learning_rates)
-        if any(r <= 0 for r in self.learning_rates):
-            raise ValueError("learning rates must be positive")
+        if not all(0 < r < math.inf for r in self.learning_rates):  # NaN fails too
+            raise ValueError(f"learning rates must be finite and positive, got {self.learning_rates}")
         if self.epochs_per_rate < 0:
             raise ValueError("epochs_per_rate must be >= 0")
         if self.batch_size < 1:

@@ -121,29 +121,41 @@ def test_01_analytic_gradients_match_finite_differences():
 # ------------------------------------------------------------------ 2
 
 
+def _shifted_dft_terms(n):
+    """exp(-2 pi i (u - n//2) m / n) at [u, m]: row u is frequency u - n//2, so DC sits at n//2."""
+    return np.exp(-2j * np.pi * np.outer(np.arange(n) - n // 2, np.arange(n)) / n)
+
+
 def _naive_shifted_dft(x):
-    h, w = x.shape
-    cy, cx = h // 2, w // 2
-    out = np.zeros((h, w), dtype=complex)
-    for u in range(h):
-        for v in range(w):
-            s = 0.0j
-            for m in range(h):
-                for n in range(w):
-                    s += x[m, n] * np.exp(-2j * np.pi * ((u - cy) * m / h + (v - cx) * n / w))
-            out[u, v] = s
-    return out
+    """The double sum over (m, n) of x[m, n] times each term, for every (u, v) of an (H, W) channel."""
+    eu, ev = _shifted_dft_terms(x.shape[0]), _shifted_dft_terms(x.shape[1])
+    return np.einsum("um,vn,mn->uv", eu, ev, x)
+
+
+def _naive_shifted_idft(spectrum):
+    eu, ev = _shifted_dft_terms(spectrum.shape[0]), _shifted_dft_terms(spectrum.shape[1])
+    return np.einsum("um,vn,uv->mn", eu.conj(), ev.conj(), spectrum).real / spectrum.size
 
 
 def test_02_dft_matches_naive_double_sum_and_parseval():
+    # the low and high pass filters against the definition: each channel's
+    # shifted DFT times the Gaussian mask (or its complement), inverted;
+    # 8x8 images, and an odd H != W batch that spans several FFT chunks
     rng = rng_from(9100)
-    for _ in range(20):
-        channel = rng.uniform(size=(8, 8))
-        spectrum = flt.dft2(channel)
-        assert np.max(np.abs(spectrum - _naive_shifted_dft(channel))) <= 1e-9
-        np.testing.assert_allclose(flt.idft2(spectrum), channel, rtol=1e-6, atol=1e-12)
-        energy = np.sum(np.abs(spectrum) ** 2) / channel.size
-        assert energy == pytest.approx(np.sum(channel**2), rel=1e-6)
+    odd = (2 * (flt._CHUNK_PIXELS // (7 * 13)) + 1, 7, 13, 3)
+    for batch, sigma in ((rng.uniform(size=(20, 8, 8, 3)), 2.5), (rng.uniform(-0.5, 1.5, size=odd), 3.0)):
+        h, w = batch.shape[1:3]
+        for mode in ("low", "high"):
+            mask = flt.gaussian_mask(h, w, sigma)
+            if mode == "high":
+                mask = 1.0 - mask
+            out = flt.frequency_filter(batch, sigma, mode)
+            for img, got in zip(batch, out):
+                for c in range(3):
+                    spectrum = _naive_shifted_dft(img[..., c]) * mask
+                    assert np.max(np.abs(got[..., c] - _naive_shifted_idft(spectrum))) <= 1e-9
+                    energy = np.sum(np.abs(spectrum) ** 2) / (h * w)
+                    assert np.sum(got[..., c] ** 2) == pytest.approx(energy, rel=1e-6)
 
 
 # ------------------------------------------------------------------ 3
@@ -168,9 +180,7 @@ def test_03_filter_contracts():
     for h, w, sigma in ((16, 16, 8.0), (9, 13, 2.5)):
         low = flt.gaussian_mask(h, w, sigma)
         np.testing.assert_allclose(low + (1.0 - low), 1.0, atol=1e-12)
-    split = flt.frequency_filter(img, 4.0, "low", clamp=False) + flt.frequency_filter(
-        img, 4.0, "high", clamp=False
-    )
+    split = flt.frequency_filter(img, 4.0, "low") + flt.frequency_filter(img, 4.0, "high")
     np.testing.assert_allclose(split, img, atol=1e-12)
 
     disc = flt.filter_spec("discretize")

@@ -17,12 +17,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "fenet")
 PROGRAM_DIRS = ("src", "scripts", "perfbench")
 
-# Public names with no caller in the program, each kept for a stated use.
-ALLOWED = {
-    "dft2": "the reference DFT that acceptance test_02 checks the FFT filters against",
-    "idft2": "the inverse of dft2, checked with it in acceptance test_02",
-}
-
 _DOTTED = re.compile(r"[A-Za-z_][\w.]*")
 
 
@@ -96,10 +90,5 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     for top in PROGRAM_DIRS:
         for path in _python_files(os.path.join(ROOT, top)):
             referenced |= _references(_parse(path))
-    unused = sorted(
-        where for name, where in _public_definitions()
-        if name not in referenced and name not in ALLOWED
-    )
+    unused = sorted(where for name, where in _public_definitions() if name not in referenced)
     assert unused == [], f"public names that only tests call: {unused}"
-    # an allowance that the program has since started to use is stale
-    assert not referenced & set(ALLOWED)

@@ -238,6 +238,13 @@ def test_radius_zero_returns_input_unchanged():
         assert res.success == (clean != 0)
 
 
+@pytest.mark.parametrize("radius", [float("nan"), float("inf"), -0.01])
+def test_radius_must_be_a_finite_number_at_least_zero(radius):
+    # a NaN radius used to fail `r > 0`, so the attack returned the clean images
+    with pytest.raises(ValueError, match="^radius must be a finite number >= 0"):
+        AttackConfig(method="fgsm", radius=radius)
+
+
 def test_fixed_step_size_at_radius_zero_returns_input_unchanged():
     net = linear_net(seed=1)
     x = interior_x(seed=5)
@@ -363,7 +370,7 @@ def test_adjoint_mode_routes_gradient_through_the_filter():
     sub = SubModel("s", spec, net, bpda="adjoint")
     res = attack_one(sub, x, 1, AttackConfig(method="fgsm", radius=r))
     g = net.grad_input_batch(flt.apply_batch(spec, x[None]), [1])[0]
-    back = flt.frequency_filter(g, 2.0, "low", clamp=False)
+    back = flt.frequency_filter(g, 2.0, "low")
     np.testing.assert_allclose(res.adversarial, clamp01(x + r * np.sign(back)), rtol=1e-12)
 
 

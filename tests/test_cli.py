@@ -284,20 +284,6 @@ def test_transfer_table_covers_every_target(run_dir):
     assert [r[1] for r in rows] == ["identity", "grayscale", "downsize"]
 
 
-def test_correlate_duplicate_filter_has_unit_correlation(tmp_path):
-    rc = cli.main([
-        "correlate", *BASE, "--out-dir", str(tmp_path), "--tag", "t",
-        "--set", 'filters=["identity","identity","grayscale"]',
-        "--set", 'noise={"epsilon_max":20,"samples_per_image":3,"num_images":8,"rng_seed":0,"select_k":2}',
-    ])
-    assert rc == 0
-    _, columns, rows = read_rows(tmp_path / "correlate_t.csv")
-    assert columns == "filter,identity,identity_2,grayscale"
-    matrix = {r[0]: [float(v) for v in r[1:]] for r in rows}
-    assert matrix["identity"][1] == 1.0
-    assert matrix["identity_2"][0] == 1.0
-
-
 def test_ensemble_eval_emits_vote_and_score_columns(run_dir):
     rc = run_cli(
         "ensemble-eval", run_dir,
@@ -570,10 +556,12 @@ def test_missing_models_exit_nonzero(tmp_path, capsys):
     assert "missing model" in capsys.readouterr().err
 
 
-def test_duplicate_filters_rejected_outside_correlate(tmp_path, capsys):
-    rc = run_cli("train", tmp_path, "--set", 'filters=["identity","identity"]')
-    assert rc == 2
-    assert "duplicate" in capsys.readouterr().err
+def test_duplicate_filters_are_a_config_error_in_every_command(tmp_path, capsys):
+    for command in cli.COMMANDS:
+        rc = run_cli(command, tmp_path, "--set", 'filters=["identity","grayscale","identity"]')
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: filters: duplicate names")
+    assert os.listdir(tmp_path) == []
 
 
 def config_paths(node=cli.DEFAULT_CONFIG, prefix=""):

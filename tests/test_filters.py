@@ -18,14 +18,12 @@ from fenet.filters import (
     apply_batch,
     bpda_backward,
     default_filters,
-    dft2,
     discretize,
     downsize,
     filter_spec,
     frequency_filter,
     gaussian_mask,
     grayscale,
-    idft2,
     octree_quantize,
     output_shape,
 )
@@ -437,48 +435,6 @@ def test_octree_empty_image_matches_dict_loop_oracle(shape):
 
 # ---------------------------------------------------------------- DFT
 
-def naive_shifted_dft(x):
-    """Direct double-sum DFT with the DC bin moved to (H//2, W//2)."""
-    h, w = x.shape
-    cy, cx = h // 2, w // 2
-    out = np.zeros((h, w), dtype=complex)
-    for u in range(h):
-        for v in range(w):
-            s = 0.0j
-            for m in range(h):
-                for n in range(w):
-                    ang = -2j * np.pi * ((u - cy) * m / h + (v - cx) * n / w)
-                    s += x[m, n] * np.exp(ang)
-            out[u, v] = s
-    return out
-
-
-@pytest.mark.parametrize("shape", [(4, 4), (5, 4), (5, 7)])
-def test_dft2_matches_naive_double_sum(shape):
-    x = rng_from(50).uniform(size=shape)
-    np.testing.assert_allclose(dft2(x), naive_shifted_dft(x), atol=1e-9)
-
-
-def test_dft2_constant_is_pure_dc():
-    c = 0.7
-    spec = dft2(np.full((6, 8), c))
-    want = np.zeros((6, 8), dtype=complex)
-    want[3, 4] = c * 6 * 8
-    np.testing.assert_allclose(spec, want, atol=1e-9)
-
-
-def test_dft_round_trip():
-    x = rng_from(51).uniform(size=(9, 5))
-    np.testing.assert_allclose(idft2(dft2(x)), x, atol=1e-9)
-
-
-def test_parseval():
-    x = rng_from(52).uniform(size=(8, 8))
-    spat = np.sum(x**2)
-    freq = np.sum(np.abs(dft2(x)) ** 2) / x.size
-    assert freq == pytest.approx(spat, rel=1e-6)
-
-
 # ---------------------------------------------------------------- frequency filters
 
 def test_masks_complementary():
@@ -500,15 +456,18 @@ def test_lowpass_huge_sigma_is_identity():
 
 def test_low_plus_high_reconstructs_unclamped():
     img = rand_img(61, 9, 6)
-    low = frequency_filter(img, 2.5, "low", clamp=False)
-    high = frequency_filter(img, 2.5, "high", clamp=False)
+    low = frequency_filter(img, 2.5, "low")
+    high = frequency_filter(img, 2.5, "high")
     np.testing.assert_allclose(low + high, img, atol=1e-6)
 
 
 def test_frequency_filter_output_clamped():
+    # frequency_filter leaves its output unclamped; apply is the one clamp
     img = rand_img(62)
-    out = frequency_filter(img, 1.0, "high")
-    assert out.min() >= 0.0 and out.max() <= 1.0
+    raw = frequency_filter(img, 1.0, "high")
+    assert raw.min() < 0.0
+    out = apply(filter_spec("highpass", sigma=1.0), img)
+    assert np.array_equal(out, np.clip(raw, 0.0, 1.0))
 
 
 def test_frequency_filter_mode_validated():
@@ -556,9 +515,7 @@ def test_bpda_downsize_adjoint_matches_matrix_transpose():
 def test_bpda_adjoint_mode_frequency_filter():
     # real even mask makes the operator symmetric, so its adjoint is itself
     spec = filter_spec("lowpass", sigma=2.0)
-    mat = linear_op_matrix(
-        lambda v: frequency_filter(v, 2.0, "low", clamp=False), (5, 4, 1), (5, 4, 1)
-    )
+    mat = linear_op_matrix(lambda v: frequency_filter(v, 2.0, "low"), (5, 4, 1), (5, 4, 1))
     np.testing.assert_allclose(mat, mat.T, atol=1e-9)
     gy = rng_from(73).normal(size=(5, 4, 1))
     got = bpda_backward(spec, gy, (5, 4, 1), mode="adjoint")
@@ -623,7 +580,7 @@ def _downsize_oracle(img, th, tw):
     return out
 
 
-def _frequency_oracle(img, sigma, mode, clamp=True):
+def _frequency_oracle(img, sigma, mode):
     h, w = img.shape[:2]
     mask = gaussian_mask(h, w, sigma)
     if mode == "high":
@@ -632,7 +589,7 @@ def _frequency_oracle(img, sigma, mode, clamp=True):
     for c in range(img.shape[2]):
         shifted = np.fft.fftshift(np.fft.fft2(img[..., c]))
         out[..., c] = np.fft.ifft2(np.fft.ifftshift(shifted * mask)).real
-    return clamp01(out) if clamp else out
+    return out
 
 
 def _apply_oracle(spec, img):
@@ -645,9 +602,9 @@ def _apply_oracle(spec, img):
     elif spec.kind == "grayscale":
         out = (img @ np.array([0.299, 0.587, 0.114]))[..., None]
     elif spec.kind == "octree":
-        out = _octree_oracle(img, spec.param("max_colors", 16), spec.param("depth", 7))
+        out = _octree_oracle(img, spec.param("max_colors"), spec.param("depth"))
     else:
-        out = _frequency_oracle(img, spec.param("sigma", 8.0), spec.kind[:-4])
+        out = _frequency_oracle(img, spec.param("sigma"), spec.kind[:-4])
     return clamp01(out)
 
 
@@ -662,7 +619,7 @@ def _bpda_oracle(spec, gy, in_shape, mode):
     if spec.kind == "grayscale":
         return gy * np.array([0.299, 0.587, 0.114])
     if mode == "adjoint" and spec.kind in ("lowpass", "highpass"):
-        return _frequency_oracle(gy, spec.param("sigma", 8.0), spec.kind[:-4], clamp=False)
+        return _frequency_oracle(gy, spec.param("sigma"), spec.kind[:-4])
     return gy.copy()
 
 
@@ -830,9 +787,14 @@ _ODD = (2 * (_CHUNK_PIXELS // (7 * 13)) + 1, 7, 13)  # odd H != W, a batch over 
 @pytest.mark.parametrize("mode", ["low", "high"])
 @pytest.mark.parametrize("clamp", [True, False])
 def test_frequency_filter_on_channel_planes_matches_the_oracle(c, mode, clamp):
+    # the filter itself is unclamped; apply clamps it
     batch = np.random.default_rng(c).uniform(-0.5, 1.5, size=_ODD + (c,))
-    want = np.stack([_frequency_oracle(img, 2.5, mode, clamp) for img in batch])
-    assert np.array_equal(frequency_filter(batch, 2.5, mode, clamp=clamp), want)
+    want = np.stack([_frequency_oracle(img, 2.5, mode) for img in batch])
+    if clamp:
+        got, want = apply(filter_spec(mode + "pass", sigma=2.5), batch), clamp01(want)
+    else:
+        got = frequency_filter(batch, 2.5, mode)
+    assert np.array_equal(got, want)
 
 
 def _cell_colors(rng, cells, level):

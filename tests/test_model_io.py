@@ -71,6 +71,17 @@ def test_hand_built_file_loads(tmp_path):
     assert np.array_equal(net.layers[0].bias, b)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameter_rejected_naming_the_file(tmp_path, bad):
+    # a NaN bias would load and label every image class 0
+    net = make_net(seed=10)
+    net.layers[-1].bias[1] = bad
+    path = tmp_path / "m.fenet"
+    save_network(net, path)
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: .* non-finite value"):
+        load_network(path)
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad"
     path.write_bytes(b"NOPE!!" + b"\x00" * 32)

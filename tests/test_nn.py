@@ -552,6 +552,10 @@ def test_train_config_validation():
         TrainConfig(learning_rates=(0.1, -0.5))
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+    # a NaN rate trains weights to NaN, and a NaN network labels every image class 0
+    for rate in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="learning rates must be finite and positive"):
+            TrainConfig(learning_rates=(0.1, rate))
 
 
 # ---------------------------------------------------------------- Conv2D
