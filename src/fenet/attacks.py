@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .util import clamp01, is_number, rng_from
+from .util import clamp01, is_int, is_number, rng_from
 
 METHODS = ("fgsm", "bim", "pgd")
 
@@ -42,8 +42,8 @@ class AttackConfig:
             self.norm = 2.0
         else:
             raise ValueError(f"norm must be 2 or inf, got {self.norm!r}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if not (is_int(self.steps) and self.steps >= 1):
+            raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
         if self.step_size is not None:
             if not self.step_size > 0:
                 raise ValueError(f"step_size must be positive, got {self.step_size}")
@@ -113,19 +113,18 @@ def _init_point(rng, shape, r, p):
     return v * (r * u / nv)
 
 
-def run_attack_batch(model, xb, labels, cfg: AttackConfig, image_ids=None, trace=None):
+def run_attack_batch(model, xb, labels, cfg: AttackConfig, image_ids, trace=None):
     """Attack a batch; returns a list of AttackResult in input order.
 
-    image_ids key the per-image RNG streams for random initialization, so a
-    batch and a rerun of any single image produce the same adversarial.
+    image_ids, one per image, key the per-image RNG streams for random
+    initialization, so a batch and a rerun of any single image produce the
+    same adversarial.
     """
     xb = np.asarray(xb, dtype=np.float64)
     labels = np.asarray(labels)
     if len(labels) != len(xb):
         raise ValueError(f"got {len(labels)} labels for {len(xb)} images")
-    if image_ids is None:
-        image_ids = np.arange(len(xb))
-    elif len(image_ids) != len(xb):
+    if len(image_ids) != len(xb):
         raise ValueError(f"got {len(image_ids)} image_ids for {len(xb)} images")
     r = float(cfg.radius)
     sgn = 1.0 if cfg.loss_sign == "ascend" else -1.0

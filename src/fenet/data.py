@@ -12,11 +12,6 @@ import numpy as np
 
 from .util import rng_from
 
-CIFAR10_CLASSES = (
-    "airplane", "automobile", "bird", "cat", "deer",
-    "dog", "frog", "horse", "ship", "truck",
-)
-
 _RECORD_PIXELS = 32 * 32 * 3
 
 
@@ -26,12 +21,11 @@ class DatasetFormatError(ValueError):
 
 @dataclass
 class Dataset:
-    """Immutable image/label arrays; images are (N, H, W, C) in [0,1]."""
+    """Immutable image/label arrays; images are (N, H, W, C) in [0,1], labels in [0, num_classes)."""
 
     images: np.ndarray
     labels: np.ndarray
-    num_classes: int = None
-    class_names: tuple = None
+    num_classes: int
 
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=np.float64)
@@ -40,8 +34,6 @@ class Dataset:
             raise ValueError(
                 f"{len(self.images)} images but {len(self.labels)} labels"
             )
-        if self.num_classes is None:
-            self.num_classes = int(self.labels.max()) + 1 if len(self.labels) else 0
         if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise ValueError(f"labels outside [0, {self.num_classes})")
         self.images.setflags(write=False)
@@ -101,18 +93,12 @@ def load_cifar10(dir_path):
     for name, labels in (("train", np.concatenate(train_labels)), ("test", test_labels)):
         if labels.max() > 9:
             raise DatasetFormatError(f"{name} labels exceed 9; not a CIFAR-10 batch")
-    train = Dataset(
-        np.concatenate(train_parts), np.concatenate(train_labels),
-        num_classes=10, class_names=CIFAR10_CLASSES,
-    )
-    test = Dataset(test_images, test_labels, num_classes=10, class_names=CIFAR10_CLASSES)
+    train = Dataset(np.concatenate(train_parts), np.concatenate(train_labels), num_classes=10)
+    test = Dataset(test_images, test_labels, num_classes=10)
     return train, test
 
 
 # ------------------------------------------------------------- synthetic corpus
-
-SYNTH_CLASSES = ("hbar", "vbar", "disk", "checker")
-
 
 @functools.lru_cache(maxsize=8)
 def _grid(s: int):
@@ -162,7 +148,7 @@ def synth_shapes(num_per_class: int, size: int = 16, seed: int = 0) -> Dataset:
         img += rng.normal(0.0, 0.06, size=(size, size, 3))
     # the clamp is elementwise, so one pass over the batch gives each image's bits
     np.clip(images, 0.0, 1.0, out=images)
-    return Dataset(images, labels, num_classes=4, class_names=SYNTH_CLASSES)
+    return Dataset(images, labels, num_classes=4)
 
 
 # ------------------------------------------------------------- subsetting
@@ -187,7 +173,4 @@ def subset(ds: Dataset, n: int, seed: int = 0) -> Dataset:
         idx = np.flatnonzero(ds.labels == cls)
         picked.append(rng.choice(idx, size=q, replace=False))
     order = rng.permutation(np.concatenate(picked) if picked else np.empty(0, dtype=int))
-    return Dataset(
-        ds.images[order], ds.labels[order],
-        num_classes=ds.num_classes, class_names=ds.class_names,
-    )
+    return Dataset(ds.images[order], ds.labels[order], num_classes=ds.num_classes)

@@ -104,11 +104,12 @@ class Layer:
 
 
 class _Affine(Layer):
-    """The weight (out, in, *kernel) and bias (out,) that Dense and Conv2D share."""
+    """The weight (out, in, *kernel) and bias (out,) that Dense and Conv2D share.
 
-    def __init__(self, weight, bias):
-        self.weight = None if weight is None else np.asarray(weight, dtype=np.float64)
-        self.bias = None if bias is None else np.asarray(bias, dtype=np.float64)
+    init_params sets them, or model_io.load_network through `params`.
+    """
+
+    weight = bias = None
 
     @property
     def params(self):
@@ -118,26 +119,18 @@ class _Affine(Layer):
     def params(self, arrays):
         self.weight, self.bias = arrays
 
-    def _check_params(self):
-        for name, p, shape in zip(("weight", "bias"), self.params, self.param_shapes()):
-            if p is not None and p.shape != shape:
-                raise ShapeMismatchError(f"{self.kind} {name} shape {p.shape} != {shape}")
-
     def init_params(self, rng):
         wshape, bshape = self.param_shapes()
-        if self.weight is None:
-            area = math.prod(wshape[2:])  # kernel taps; 1 for Dense
-            self.weight = _glorot_uniform(rng, wshape, wshape[1] * area, wshape[0] * area)
-        if self.bias is None:
-            self.bias = np.zeros(bshape)
+        area = math.prod(wshape[2:])  # kernel taps; 1 for Dense
+        self.weight = _glorot_uniform(rng, wshape, wshape[1] * area, wshape[0] * area)
+        self.bias = np.zeros(bshape)
 
 
 class Dense(_Affine):
     kind = "Dense"
 
-    def __init__(self, out_features, weight=None, bias=None):
+    def __init__(self, out_features):
         self.out_features = _count("out_features", out_features)
-        super().__init__(weight, bias)
 
     def bind(self, in_shape):
         if len(in_shape) != 1:
@@ -146,7 +139,6 @@ class Dense(_Affine):
             )
         self.in_shape = tuple(in_shape)
         self.out_shape = (self.out_features,)
-        self._check_params()
         return self.out_shape
 
     def param_shapes(self):
@@ -175,7 +167,7 @@ class Conv2D(_Affine):
 
     kind = "Conv2D"
 
-    def __init__(self, out_channels, kernel, stride=1, padding="same", weight=None, bias=None):
+    def __init__(self, out_channels, kernel, stride=1, padding="same"):
         dims = (kernel, kernel) if is_int(kernel) else kernel
         if not (isinstance(dims, (list, tuple)) and len(dims) == 2):
             raise ValueError(f"kernel must be an integer or a pair of integers, got {kernel!r}")
@@ -186,7 +178,6 @@ class Conv2D(_Affine):
         self.stride = _count("stride", stride)
         self.padding = padding
         self._pads = None
-        super().__init__(weight, bias)
 
     def bind(self, in_shape):
         if len(in_shape) != 3:
@@ -205,7 +196,6 @@ class Conv2D(_Affine):
             self._pads = (0, 0, 0, 0)
         self.in_shape = tuple(in_shape)
         self.out_shape = (oh, ow, self.out_channels)
-        self._check_params()
         return self.out_shape
 
     def param_shapes(self):
@@ -382,15 +372,10 @@ class AvgPool2D(Layer):
         return gx, ([] if need_params else None)
 
     def lipschitz_bound(self, rng):
-        if self.stride == self.pool:
-            # Disjoint k*k windows: operator norm is exactly 1/sqrt(k*k).
-            return 1.0 / self.pool
-        return power_iteration(
-            lambda v: self._apply(v[None])[0],
-            lambda u: self._adjoint(u[None], self.in_shape[:2])[0],
-            self.in_shape,
-            rng,
-        )
+        # sqrt(||A||_1 ||A||_inf) >= ||A||_2: a row averages k*k cells (sum 1),
+        # and a cell lies in at most ceil(k/s)^2 windows (column sum
+        # <= ceil(k/s)^2 / k^2). Exact, 1/k, for disjoint windows (s >= k).
+        return math.ceil(self.pool / self.stride) / self.pool
 
     def header(self):
         return {"kind": self.kind, "pool": self.pool, "stride": self.stride}
@@ -559,10 +544,10 @@ class TrainConfig:
         self.learning_rates = tuple(float(r) for r in self.learning_rates)
         if not all(0 < r < math.inf for r in self.learning_rates):  # NaN fails too
             raise ValueError(f"learning rates must be finite and positive, got {self.learning_rates}")
-        if self.epochs_per_rate < 0:
-            raise ValueError("epochs_per_rate must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        if not (is_int(self.epochs_per_rate) and self.epochs_per_rate >= 0):
+            raise ValueError(f"epochs_per_rate must be an integer >= 0, got {self.epochs_per_rate!r}")
+        if not (is_int(self.batch_size) and self.batch_size >= 1):
+            raise ValueError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
 
 
 def train(net, dataset, cfg, augment=None):

@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from . import filters as flt
-from .util import clamp01, l2norm, rng_from
+from .util import clamp01, is_int, is_number, l2norm, rng_from
 
 
 @dataclass
@@ -23,10 +23,11 @@ class NoiseConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not self.epsilon_max > 0:
-            raise ValueError(f"epsilon_max must be positive, got {self.epsilon_max}")
-        if self.samples_per_image < 1 or self.num_images < 1:
-            raise ValueError("samples_per_image and num_images must be >= 1")
+        if not (is_number(self.epsilon_max) and self.epsilon_max > 0):
+            raise ValueError(f"epsilon_max must be a finite number > 0, got {self.epsilon_max!r}")
+        for name, v in (("samples_per_image", self.samples_per_image), ("num_images", self.num_images)):
+            if not (is_int(v) and v >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
 
 
 def noise_stream(seed, image_id):

@@ -184,7 +184,7 @@ def test_pgd_trace_stays_inside_ball(p):
     r = 0.05
     cfg = AttackConfig(radius=r, norm=p, steps=8, step_size=r / 4)
     seen = []
-    results = run_attack_batch(net, xb, labels, cfg, trace=lambda s, a: seen.append(a.copy()))
+    results = run_attack_batch(net, xb, labels, cfg, image_ids=np.arange(4), trace=lambda s, a: seen.append(a.copy()))
     assert len(seen) == 8
     for a in seen:
         assert a.min() >= 0.0 and a.max() <= 1.0
@@ -208,7 +208,7 @@ def test_pgd_deterministic_and_keyed_by_image_id():
     solo = attack_one(net, xb[1], labels[1], cfg, image_id=6)
     assert np.array_equal(solo.adversarial, first[1].adversarial)
 
-    other = run_attack_batch(net, xb, labels, AttackConfig(radius=0.05, steps=4, rng_seed=1))
+    other = run_attack_batch(net, xb, labels, AttackConfig(radius=0.05, steps=4, rng_seed=1), image_ids=[5, 6, 7])
     assert not np.array_equal(first[0].adversarial, other[0].adversarial)
 
 
@@ -216,8 +216,8 @@ def test_pgd_deterministic_and_keyed_by_image_id():
 @pytest.mark.parametrize("labels, ids, radius, message", [
     ([1, 0, 2], [5, 6], 0.05, "got 2 image_ids for 3 images"),
     ([1, 0, 2], [5, 6, 7, 8], 0.05, "got 4 image_ids for 3 images"),
-    ([1, 0, 2, 1], None, 0.0, "got 4 labels for 3 images"),
-    ([1, 0], None, 0.0, "got 2 labels for 3 images"),
+    ([1, 0, 2, 1], [5, 6, 7], 0.0, "got 4 labels for 3 images"),
+    ([1, 0], [5, 6, 7], 0.0, "got 2 labels for 3 images"),
 ], ids=["ids0", "ids1", "labels0", "labels1"])
 def test_image_ids_must_key_every_image(labels, ids, radius, message):
     net = conv_net(seed=2)
@@ -231,7 +231,7 @@ def test_radius_zero_returns_input_unchanged():
     x = interior_x(seed=5)
     for method in ("fgsm", "bim", "pgd"):
         counter = GradCounter(net)
-        res = run_attack_batch(counter, x[None], [0], AttackConfig(method=method, radius=0.0))[0]
+        res = run_attack_batch(counter, x[None], [0], AttackConfig(method=method, radius=0.0), image_ids=[0])[0]
         assert np.array_equal(res.adversarial, x)
         assert counter.grad_calls == 0
         clean = int(net.classify_batch(x[None])[0])
@@ -251,7 +251,7 @@ def test_fixed_step_size_at_radius_zero_returns_input_unchanged():
     for method in ("bim", "pgd"):
         cfg = AttackConfig(method=method, radius=0.0, step_size=0.004)
         counter = GradCounter(net)
-        res = run_attack_batch(counter, x[None], [0], cfg)[0]
+        res = run_attack_batch(counter, x[None], [0], cfg, image_ids=[0])[0]
         assert np.array_equal(res.adversarial, x)
         assert counter.grad_calls == 0
     with pytest.raises(ValueError, match="exceeds radius"):
@@ -264,7 +264,7 @@ def test_empty_batch_with_random_init_returns_no_results(norm):
     sub = SubModel("low", flt.filter_spec("lowpass", sigma=2.0), net)
     cfg = AttackConfig(method="pgd", radius=0.05, norm=norm, steps=2, random_init=True)
     for model in (net, sub, Ensemble([sub, sub])):
-        assert run_attack_batch(model, np.zeros((0,) + IMG), [], cfg) == []
+        assert run_attack_batch(model, np.zeros((0,) + IMG), [], cfg, image_ids=[]) == []
 
 
 def test_query_accounting():
@@ -287,7 +287,7 @@ def test_zero_gradient_leaves_input_in_place():
     dense.bias[:] = 0.0
     x = interior_x(seed=7)
     for method in ("fgsm", "bim"):
-        res = run_attack_batch(net, x[None], [1], AttackConfig(method=method, radius=0.1))[0]
+        res = run_attack_batch(net, x[None], [1], AttackConfig(method=method, radius=0.1), image_ids=[0])[0]
         assert np.array_equal(res.adversarial, x)
         # equal logits resolve to class 0, so label 1 still counts as a flip
         assert res.final_label == 0
@@ -325,6 +325,13 @@ def test_paper_sign_convention_mirrors_the_step():
 def test_config_rejects(kwargs):
     with pytest.raises(ValueError):
         AttackConfig(**kwargs)
+
+
+@pytest.mark.parametrize("steps", [2.5, True, "3", 0])
+def test_steps_must_be_an_integer_at_least_one(steps):
+    # 2.5 used to fail inside range(); True ran one step
+    with pytest.raises(ValueError, match=f"^steps must be an integer >= 1, got {steps!r}$"):
+        AttackConfig(steps=steps)
 
 
 def test_config_step_size_default_is_tenth_of_radius():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fenet.data import (
-    CIFAR10_CLASSES,
     Dataset,
     DatasetFormatError,
     _grid,
@@ -100,7 +99,7 @@ def test_load_cifar10_missing_dir(tmp_path):
 
 def test_dataset_validates_lengths():
     with pytest.raises(ValueError):
-        Dataset(np.zeros((3, 4, 4, 3)), np.zeros(2, dtype=int))
+        Dataset(np.zeros((3, 4, 4, 3)), np.zeros(2, dtype=int), num_classes=1)
 
 
 def test_dataset_validates_label_range():
@@ -236,7 +235,7 @@ def test_subset_uneven_within_20_percent():
     rng = rng_from(77)
     labels = np.array([0] * 60 + [1] * 30 + [2] * 10)
     images = rng.uniform(size=(100, 8, 8, 3))
-    ds = Dataset(images, labels)
+    ds = Dataset(images, labels, num_classes=3)
     sub = subset(ds, 40, seed=3)
     _, counts = np.unique(sub.labels, return_counts=True)
     for got, frac in zip(counts, (0.6, 0.3, 0.1)):
@@ -247,8 +246,3 @@ def test_subset_too_large_rejected():
     ds = synth_shapes(2, size=8)
     with pytest.raises(ValueError):
         subset(ds, len(ds) + 1)
-
-
-def test_cifar_class_names():
-    assert len(CIFAR10_CLASSES) == 10
-    assert CIFAR10_CLASSES[0] == "airplane"

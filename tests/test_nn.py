@@ -1,4 +1,5 @@
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -185,6 +186,14 @@ def loss(net, x, label):
     return float(_xent(net.forward_batch(np.asarray(x)[None]), np.array([label]))[0])
 
 
+def dense_net(weight, bias, *tail):
+    """A network whose first layer is a Dense with the given weight and bias, then `tail`."""
+    weight, bias = np.asarray(weight, dtype=np.float64), np.asarray(bias, dtype=np.float64)
+    net = Network([Dense(len(bias)), *tail], weight.shape[1:], len(bias), seed=0)
+    net.layers[0].params = [weight, bias]
+    return net
+
+
 def small_conv_net(seed, with_relu=True):
     layers = [Conv2D(2, 3, padding="same")]
     if with_relu:
@@ -196,15 +205,12 @@ def small_conv_net(seed, with_relu=True):
 # ---------------------------------------------------------------- forward
 
 def test_forward_identity_dense():
-    net = Network([Dense(2, weight=np.eye(2), bias=np.zeros(2))], (2,), 2)
+    net = dense_net(np.eye(2), np.zeros(2))
     assert np.array_equal(net.forward_batch([[1.0, 2.0]]), [[1.0, 2.0]])
 
 
 def test_forward_hand_linear():
-    net = Network(
-        [Dense(2, weight=np.array([[1.0, 0.0], [0.0, -1.0]]), bias=np.array([0.0, 1.0]))],
-        (2,), 2,
-    )
+    net = dense_net([[1.0, 0.0], [0.0, -1.0]], [0.0, 1.0])
     assert np.array_equal(net.forward_batch([[3.0, 5.0]]), [[3.0, -4.0]])
 
 
@@ -274,15 +280,6 @@ def test_incompatible_layer_chain_rejected():
         Network([Conv2D(2, 3), Dense(3)], (6, 6, 1), 3, seed=0)
 
 
-def test_given_parameter_of_wrong_shape_rejected():
-    with pytest.raises(ShapeMismatchError, match="Dense weight shape"):
-        Network([Dense(2, weight=np.zeros((3, 2)), bias=np.zeros(2))], (3,), 2)
-    with pytest.raises(ShapeMismatchError, match="Dense bias shape"):
-        Network([Dense(2, weight=np.zeros((2, 3)), bias=np.zeros(3))], (3,), 2)
-    with pytest.raises(ShapeMismatchError, match="Conv2D weight shape"):
-        Network([Conv2D(2, 3, weight=np.zeros((2, 2, 3, 3))), Flatten(), Dense(2)], (4, 4, 1), 2, seed=0)
-
-
 def test_wrong_output_arity_rejected():
     with pytest.raises(ShapeMismatchError):
         Network([Dense(4)], (2,), 3, seed=0)
@@ -292,7 +289,7 @@ def test_wrong_output_arity_rejected():
 
 def _logit_net(v):
     v = np.asarray(v, dtype=np.float64)
-    return Network([Dense(len(v), weight=np.zeros((len(v), 1)), bias=v)], (1,), len(v))
+    return dense_net(np.zeros((len(v), 1)), v)
 
 
 def classify(net, x):
@@ -379,7 +376,7 @@ def test_grad_input_linear_closed_form():
     w = rng.normal(size=(3, 4))
     b = rng.normal(size=3)
     x = rng.normal(size=4)
-    net = Network([Dense(3, weight=w, bias=b)], (4,), 3)
+    net = dense_net(w, b)
     z = w @ x + b
     p = np.exp(z) / np.exp(z).sum()
     p[1] -= 1.0
@@ -388,7 +385,7 @@ def test_grad_input_linear_closed_form():
 
 def test_grad_input_zero_weight_net_constant():
     b = np.array([0.3, -1.2, 0.5])
-    net = Network([Dense(3, weight=np.zeros((3, 5)), bias=b)], (5,), 3)
+    net = dense_net(np.zeros((3, 5)), b)
     g = net.grad_input_batch(np.stack([np.full(5, 0.7), rng_from(5).normal(size=5)]), [2, 2])
     assert np.array_equal(g[0], g[1])
     assert np.array_equal(g[0], np.zeros(5))
@@ -462,7 +459,7 @@ def separable_blobs(n_per_class=40, seed=0):
     b = rng.normal(scale=0.15, size=(n_per_class, 2)) + [1.0, 0.0]
     xs = np.concatenate([a, b])
     ys = np.array([0] * n_per_class + [1] * n_per_class)
-    return Dataset(xs, ys)
+    return Dataset(xs, ys, num_classes=2)
 
 
 def test_train_separable_set_high_accuracy():
@@ -544,7 +541,7 @@ def test_train_log_and_weights_match_separate_loss_pass(augment):
 def test_train_empty_dataset_rejected():
     net = Network([Dense(2)], (2,), 2, seed=0)
     with pytest.raises(ValueError):
-        train(net, Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int)), TrainConfig())
+        train(net, Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), num_classes=2), TrainConfig())
 
 
 def test_train_config_validation():
@@ -556,6 +553,14 @@ def test_train_config_validation():
     for rate in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="learning rates must be finite and positive"):
             TrainConfig(learning_rates=(0.1, rate))
+
+
+@pytest.mark.parametrize("field, minimum", [("epochs_per_rate", 0), ("batch_size", 1)])
+@pytest.mark.parametrize("value", [2.5, True, "3", -1])
+def test_train_config_counts_must_be_integers(field, minimum, value):
+    # 2.5 used to fail inside range(); True trained one epoch or one-image batches
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= {minimum}, got {value!r}$"):
+        TrainConfig(**{field: value})
 
 
 # ---------------------------------------------------------------- Conv2D
@@ -653,14 +658,12 @@ def test_avgpool_adjoint_matches_tap_loop_bit_for_bit(batch, k, step, h, w, c, s
 # ---------------------------------------------------------------- Lipschitz
 
 def test_lipschitz_scaled_identity():
-    net = Network([Dense(2, weight=2 * np.eye(2), bias=np.zeros(2))], (2,), 2)
+    net = dense_net(2 * np.eye(2), np.zeros(2))
     assert net.lipschitz_upper_bound() == pytest.approx(2.0, rel=1e-6)
 
 
 def test_lipschitz_diag_then_relu():
-    net = Network(
-        [Dense(2, weight=np.diag([3.0, 1.0]), bias=np.zeros(2)), ReLU()], (2,), 2
-    )
+    net = dense_net(np.diag([3.0, 1.0]), np.zeros(2), ReLU())
     assert net.lipschitz_upper_bound() == pytest.approx(3.0, rel=1e-6)
 
 
@@ -783,12 +786,17 @@ def test_network_lipschitz_matches_append_and_norm_power_iteration():
 
 
 def test_avgpool_norm_matches_explicit_matrix():
-    pool = AvgPool2D(2)
-    pool.bind((4, 4, 1))
-    mat = linear_op_matrix(lambda v: pool._apply(v[None])[0], (4, 4, 1), (2, 2, 1))
-    want = np.linalg.svd(mat, compute_uv=False)[0]
-    assert pool.lipschitz_bound(rng_from(75)) == pytest.approx(0.5, abs=1e-12)
-    assert want == pytest.approx(0.5, rel=1e-12)
+    """The closed-form bound is >= the operator norm, and equals it for disjoint windows."""
+    for pool_size, stride, side in [(2, 2, 4), (2, 1, 6), (3, 1, 7), (3, 2, 9), (2, 3, 8), (3, 3, 7)]:
+        pool = AvgPool2D(pool_size, stride=stride)
+        pool.bind((side, side, 2))
+        mat = linear_op_matrix(lambda v: pool._apply(v[None])[0], pool.in_shape, pool.out_shape)
+        want = np.linalg.svd(mat, compute_uv=False)[0]
+        got = pool.lipschitz_bound(rng_from(75))
+        assert got == math.ceil(pool_size / stride) / pool_size
+        assert got >= want
+        if stride >= pool_size:
+            assert got == 1.0 / pool_size and want == pytest.approx(got, rel=1e-12)
 
 
 def test_lipschitz_bounds_sampled_ratios():

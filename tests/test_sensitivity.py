@@ -159,6 +159,20 @@ def test_noise_config_validated():
         NoiseConfig(num_images=0)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("epsilon_max", float("inf"), "a finite number > 0"),  # used to overflow in draw_noise
+    ("epsilon_max", float("nan"), "a finite number > 0"),
+    ("epsilon_max", True, "a finite number > 0"),
+    ("num_images", 1.5, "an integer >= 1"),  # used to fail inside rng.choice
+    ("num_images", True, "an integer >= 1"),
+    ("samples_per_image", 2.5, "an integer >= 1"),
+    ("samples_per_image", 0, "an integer >= 1"),
+])
+def test_noise_config_names_the_bad_field(field, value, message):
+    with pytest.raises(ValueError, match=f"^{field} must be {message}, got {value!r}$"):
+        NoiseConfig(**{field: value})
+
+
 # ---------------------------------------------------------------- Pearson
 
 def test_self_correlation_is_one():
