@@ -25,10 +25,11 @@ hashes that copy's code.
 
 `--diff DIR_A DIR_B` runs nothing. It compares two `--keep` directories:
 it names each CSV, config copy or model that exists on one side only or
-whose bytes differ, and for a differing CSV prints the largest absolute
-and relative difference over its numeric cells, so a change that alters
-float rounding shows how far each output moved. It exits 1 when any
-output differs.
+whose bytes differ. For a differing CSV it prints the largest absolute
+and relative difference over its numeric cells, and for two differing
+models that load with the same header the same over their parameters, so
+a change that alters float rounding shows how far each output moved. It
+exits 1 when any output differs.
 
     python3 scripts/golden_csvs.py [--only test09|desk|corr32|baselines] [--keep DIR]
     python3 scripts/golden_csvs.py --diff DIR_A DIR_B
@@ -40,6 +41,8 @@ import hashlib
 import os
 import sys
 import tempfile
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -134,6 +137,24 @@ def cell_diff(a, b):
     return max_abs, max_rel
 
 
+def model_diff(a, b):
+    """(largest absolute, largest relative) parameter difference of two models, or why they cannot be compared."""
+    try:
+        nets = model_io.load_network(a), model_io.load_network(b)
+    except model_io.ModelFormatError:
+        return "model bytes differ"
+    if model_io._header_dict(nets[0]) != model_io._header_dict(nets[1]):
+        return "model bytes differ"
+    params_a, params_b = ([p for layer in net.layers for p in layer.params] for net in nets)
+    max_abs = max_rel = 0.0
+    for x, y in zip(params_a, params_b):
+        d = np.abs(x - y)
+        scale = np.where(d > 0, np.maximum(np.abs(x), np.abs(y)), 1.0)
+        max_abs = max(max_abs, d.max(initial=0.0))
+        max_rel = max(max_rel, (d / scale).max(initial=0.0))
+    return max_abs, max_rel
+
+
 def diff_dirs(dir_a, dir_b) -> int:
     """Print one line per CSV, config copy or model that differs between two --keep directories; 1 if any does."""
     files_a, files_b = outputs(dir_a), outputs(dir_b)
@@ -147,8 +168,10 @@ def diff_dirs(dir_a, dir_b) -> int:
             continue
         if path.endswith(".csv"):
             moved = cell_diff(a, b)
+        elif path.endswith(".fenet"):
+            moved = model_diff(a, b)
         else:
-            moved = "config bytes differ" if path.endswith(".json") else "model bytes differ"
+            moved = "config bytes differ"
         if isinstance(moved, str):
             print(f"{path}: {moved}")
         else:

@@ -60,6 +60,8 @@ class FilterSpec:
             value = self.params.get(name, default)
             if not test(value):
                 raise ValueError(f"{self.kind} {name} must be {wanted}, got {value!r}")
+        if "sigma" in rules:
+            _check_sigma(self.param("sigma"), f"{self.kind} sigma")
 
     def param(self, name):
         """The parameter's value, or its default in _PARAMS when not given."""
@@ -137,8 +139,8 @@ def apply_batch(spec: FilterSpec, imgs) -> np.ndarray:
 
 # Octree and frequency filters work through a batch this many pixels at a
 # time: enough 16x16 images per numpy call to amortise its overhead, while
-# a chunk's temporaries stay under a megabyte (about 100 bytes per pixel
-# for the octree and 170 for the FFT pair, above the output).
+# a chunk's temporaries stay under a megabyte (about 100 bytes per RGB
+# pixel for the octree and 100 for the real-input FFT pair, above the output).
 _CHUNK_PIXELS = 4096
 
 
@@ -223,11 +225,12 @@ def downsize(img, target_h: int, target_w: int) -> np.ndarray:
     xs, wx = _bilinear_taps(w, target_w)
     # the dense product sum_hw wy[i, h] * wx[j, w] * img[h, w] over its four
     # non-zero taps, added in the same (h, w) order, so the bits match it
+    # (np.take gathers the taps faster than indexing does)
     out = np.zeros(img.shape[:-3] + (target_h, target_w, img.shape[-1]))
     for a in (0, 1):
-        rows = img[..., ys[a], :, :]
+        rows = np.take(img, ys[a], axis=-3)
         for b in (0, 1):
-            out += (wy[a][:, None] * wx[b])[..., None] * rows[..., xs[b], :]
+            out += (wy[a][:, None] * wx[b])[..., None] * np.take(rows, xs[b], axis=-2)
     return out
 
 
@@ -277,11 +280,16 @@ def octree_quantize(img, max_colors: int = 16, depth: int = 7) -> np.ndarray:
     return _by_chunks(functools.partial(_octree_chunk, max_colors=max_colors, depth=depth), img)
 
 
-def _run_starts(owner, key) -> np.ndarray:
-    """True where a run of equal (owner, key) pairs begins."""
-    start = np.ones(len(key), dtype=bool)
-    start[1:] = (key[1:] != key[:-1]) | (owner[1:] != owner[:-1])
-    return start
+def _run_edges(owner, key) -> np.ndarray:
+    """Where each run of equal (owner, key) pairs begins, then len(key)."""
+    edge = np.ones(len(key) + 1, dtype=bool)
+    edge[1:-1] = (key[1:] != key[:-1]) | (owner[1:] != owner[:-1])
+    return np.flatnonzero(edge)
+
+
+def _run_numbers(edge) -> np.ndarray:
+    """Each entry's run number, from run edges as `_run_edges` gives them."""
+    return np.repeat(np.arange(len(edge) - 1), edge[1:] - edge[:-1])
 
 
 def _unique_runs(keys):
@@ -307,10 +315,10 @@ def _unique_runs(keys):
     edge[0] = edge[n] = True
     np.not_equal(keys[1:], keys[:-1], out=edge[1:n])
     edge = np.flatnonzero(edge)
-    first, count = edge[:-1], edge[1:] - edge[:-1]
+    first = edge[:-1]
     inverse = np.empty(n, dtype=np.int64)
-    inverse[pos] = np.repeat(np.arange(len(first)), count)  # each sorted key's run number
-    return keys[first], pos[first], inverse, count
+    inverse[pos] = _run_numbers(edge)  # each sorted key's run number
+    return keys[first], pos[first], inverse, edge[1:] - first
 
 
 def _octree_chunk(imgs, max_colors, depth):
@@ -351,17 +359,17 @@ def _octree_chunk(imgs, max_colors, depth):
     # fold each image `up` levels: the most that leave it over max_colors cells
     up = np.count_nonzero(levels[:, 1:] > max_colors, axis=1)
     shift = 3 * up[owner]
-    start = _run_starts(owner, keys >> shift)
-    kstart = np.flatnonzero(start)
+    edge = _run_edges(owner, keys >> shift)
+    kstart = edge[:-1]
     keys, owner = keys[kstart] >> shift[kstart], owner[kstart]
     sums, count = np.add.reduceat(sums, kstart), np.add.reduceat(count, kstart)
     seq = np.minimum.reduceat(seq, kstart)
-    leaf_cell = np.cumsum(start) - 1
+    leaf_cell = _run_numbers(edge)
 
     # the ranked pass: a group folds while more than max_colors cells of its
     # image remain before it, and its fold removes all but one of its cells
-    start = _run_starts(owner, keys >> 3)
-    gstart = np.flatnonzero(start)
+    gedge = _run_edges(owner, keys >> 3)
+    gstart, gsize = gedge[:-1], gedge[1:] - gedge[:-1]
     gimg = owner[gstart]
     # cells ranked by (image, count, seq), groups by their smallest rank
     rank = np.empty(len(keys), dtype=np.int64)
@@ -369,15 +377,18 @@ def _octree_chunk(imgs, max_colors, depth):
     gorder = np.argsort(np.minimum.reduceat(rank, gstart))
     cells = np.bincount(owner, minlength=n)
     per_img = cells - np.bincount(gimg, minlength=n)  # all an image's groups remove
-    ro = (np.diff(gstart, append=len(keys)) - 1)[gorder]
+    ro = (gsize - 1)[gorder]
     left = (cells + np.cumsum(per_img) - per_img)[gimg[gorder]] - (np.cumsum(ro) - ro)
     taken = np.zeros(len(gstart), dtype=bool)
     taken[gorder[left > max_colors]] = True
-    # a taken group becomes one cell; every other cell stays as it is
-    keep = start | ~taken[np.cumsum(start) - 1]
-    kstart = np.flatnonzero(keep)
-    sums, count = np.add.reduceat(sums, kstart), np.add.reduceat(count, kstart)
-    leaf_cell = (np.cumsum(keep) - 1)[leaf_cell]
+    # a taken group becomes one cell; every other cell stays as it is, so
+    # the new cells start at each group's start and each untaken cell
+    keep = np.ones(len(keys) + 1, dtype=bool)
+    keep[:-1] = np.repeat(~taken, gsize)
+    keep[gstart] = True
+    edge = np.flatnonzero(keep)
+    sums, count = np.add.reduceat(sums, edge[:-1]), np.add.reduceat(count, edge[:-1])
+    leaf_cell = _run_numbers(edge)[leaf_cell]
 
     palette = (2 * sums + count[:, None]) // (2 * count[:, None]) / 255.0
     # both remaps composed over the leaves, so each pixel is gathered once
@@ -387,10 +398,23 @@ def _octree_chunk(imgs, max_colors, depth):
 
 # ------------------------------------------------------------- frequency domain
 
+def _check_sigma(sigma, name="sigma") -> None:
+    """A ValueError naming `name` unless sigma > 0 and sigma**2 is a finite float > 0.
+
+    The mask divides by 2 sigma**2: a square of 0 makes its center 0/0, a
+    NaN that clamping keeps; a Python float's square past the range raises.
+    """
+    try:
+        ok = sigma > 0 and 0.0 < float(sigma) ** 2 < math.inf
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a number > 0 whose float64 square is finite and > 0, got {sigma!r}")
+
+
 def gaussian_mask(h: int, w: int, sigma: float) -> np.ndarray:
     """exp(-D^2 / 2 sigma^2) with D the distance from the spectrum center."""
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    _check_sigma(sigma)
     cy, cx = h // 2, w // 2
     yy, xx = np.mgrid[0:h, 0:w]
     d2 = (yy - cy) ** 2.0 + (xx - cx) ** 2.0
@@ -399,13 +423,14 @@ def gaussian_mask(h: int, w: int, sigma: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _spectral_mask(h: int, w: int, sigma: float, mode: str) -> np.ndarray:
-    """The low or high mask in unshifted DFT order, (h, w)."""
+    """The low or high mask in unshifted DFT order, its first w//2 + 1 columns: (h, w//2 + 1)."""
     mask = gaussian_mask(h, w, sigma)
     if mode == "high":
         mask = 1.0 - mask
-    # ifftshift(fftshift(F) * mask) == F * ifftshift(mask): a permutation,
-    # so masking the unshifted spectrum gives the same bits
-    mask = np.fft.ifftshift(mask)
+    # ifftshift(fftshift(F) * mask) == F * ifftshift(mask): a permutation.
+    # The unshifted mask is conjugate-symmetric like a real image's
+    # spectrum, so its first w//2 + 1 columns carry the whole filter.
+    mask = np.ascontiguousarray(np.fft.ifftshift(mask)[:, : w // 2 + 1])
     mask.setflags(write=False)
     return mask
 
@@ -419,15 +444,16 @@ def frequency_filter(img, sigma: float, mode: str) -> np.ndarray:
     if mode not in ("low", "high"):
         raise ValueError(f"mode must be 'low' or 'high', got {mode!r}")
     img = np.asarray(img, dtype=np.float64)
-    mask = _spectral_mask(*img.shape[-3:-1], sigma, mode)
+    h, w = img.shape[-3:-1]
+    mask = _spectral_mask(h, w, sigma, mode)
 
     def masked(chunk):
-        # fft2/ifft2 over (H, W) run exactly these 1-D passes, W first; on
+        # rfft2/irfft2 over (H, W) run exactly these 1-D passes, W first; on
         # contiguous (n, C, H, W) planes each pass reads whole lines
         planes = np.ascontiguousarray(chunk.transpose(0, 3, 1, 2))
-        spectrum = np.fft.fft(np.fft.fft(planes, axis=3), axis=2)
+        spectrum = np.fft.fft(np.fft.rfft(planes, axis=3), axis=2)
         spectrum *= mask
-        return np.fft.ifft(np.fft.ifft(spectrum, axis=3), axis=2).real.transpose(0, 2, 3, 1)
+        return np.fft.irfft(np.fft.ifft(spectrum, axis=2), n=w, axis=3).transpose(0, 2, 3, 1)
 
     # one FFT pair per chunk of images: a whole-batch spectrum would hold
     # complex copies of every image at once

@@ -71,9 +71,10 @@ def sample_sensitivities(filter_bank: dict, dataset, cfg: NoiseConfig) -> np.nda
         batch = np.concatenate([x[None], clamp01(x + np.stack(deltas))])
         for j, spec in enumerate(filter_bank.values()):
             out = flt.apply_batch(spec, batch)
+            out[1:] -= out[0]  # each noisy copy's move from the clean image
             # one norm per sample: a norm along an axis sums in another order
             for k in range(per_image):
-                values[i * per_image + k, j] = l2norm(out[1 + k] - out[0])
+                values[i * per_image + k, j] = l2norm(out[1 + k])
     return values
 
 

@@ -625,6 +625,17 @@ def test_mistyped_filter_parameter_fails_at_config_load(tmp_path, capsys, name, 
     assert not (tmp_path / "models").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "correlate"])
+def test_sigma_whose_square_underflows_fails_at_config_load(tmp_path, capsys, command):
+    # 2 * 1e-200**2 is 0 in float64: the mask would be NaN at its center
+    assert run_cli(command, tmp_path, "--set", "filter_params.lowpass.sigma=1e-200") == 2
+    assert capsys.readouterr().err == (
+        "config error: filter_params.lowpass: lowpass sigma must be a number > 0"
+        " whose float64 square is finite and > 0, got 1e-200\n"
+    )
+    assert os.listdir(tmp_path) == []
+
+
 def test_correlate_needs_two_noise_samples_at_config_load(tmp_path, capsys):
     rc = run_cli("correlate", tmp_path, "--set", "noise.num_images=1", "--set", "noise.samples_per_image=1")
     assert rc == 2

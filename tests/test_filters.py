@@ -475,6 +475,35 @@ def test_frequency_filter_mode_validated():
         frequency_filter(rand_img(63), 1.0, "band")
 
 
+@pytest.mark.parametrize(
+    "kind, sigma",
+    [("lowpass", 1e-200), ("highpass", 1e-170), ("lowpass", 1e155), ("highpass", 1e300)],
+)
+def test_sigma_whose_square_leaves_the_float_range_is_rejected(kind, sigma):
+    # 2 sigma**2 is the mask's denominator: 0 gives 0/0 = NaN at the center,
+    # and a Python float's square past the range raises OverflowError
+    want = f"{kind} sigma must be a number > 0 whose float64 square is finite and > 0, got {sigma!r}"
+    with pytest.raises(ValueError) as info:
+        filter_spec(kind, sigma=sigma)
+    assert str(info.value) == want
+    with pytest.raises(ValueError, match="^sigma must be"):
+        gaussian_mask(4, 4, sigma)
+    with pytest.raises(ValueError, match="^sigma must be"):
+        frequency_filter(rand_img(64), sigma, kind[:-4])
+
+
+def test_smallest_sigma_keeps_only_the_mean():
+    # sigma**2 is a subnormal float > 0: the mask is 1 at the center and 0
+    # elsewhere, so the low pass gives each channel's mean and no NaN
+    img = rand_img(65, 6, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # -d2 / 2 sigma**2 overflows to -inf
+        low = apply(filter_spec("lowpass", sigma=1e-160), img)
+        high = frequency_filter(img, 1e-160, "high")
+    np.testing.assert_allclose(low, np.broadcast_to(img.mean(axis=(0, 1)), img.shape), atol=1e-15)
+    np.testing.assert_allclose(high, img - img.mean(axis=(0, 1)), atol=1e-15)
+
+
 # ---------------------------------------------------------------- BPDA rules
 
 def linear_op_matrix(fn, in_shape, out_shape):
@@ -585,10 +614,10 @@ def _frequency_oracle(img, sigma, mode):
     mask = gaussian_mask(h, w, sigma)
     if mode == "high":
         mask = 1.0 - mask
+    half = np.fft.ifftshift(mask)[:, : w // 2 + 1]
     out = np.empty_like(img)
     for c in range(img.shape[2]):
-        shifted = np.fft.fftshift(np.fft.fft2(img[..., c]))
-        out[..., c] = np.fft.ifft2(np.fft.ifftshift(shifted * mask)).real
+        out[..., c] = np.fft.irfft2(np.fft.rfft2(img[..., c]) * half, s=(h, w))
     return out
 
 
@@ -795,6 +824,35 @@ def test_frequency_filter_on_channel_planes_matches_the_oracle(c, mode, clamp):
     else:
         got = frequency_filter(batch, 2.5, mode)
     assert np.array_equal(got, want)
+
+
+def _complex_frequency_oracle(img, sigma, mode):
+    # the filter's complex-FFT form: shifted spectrum times the mask, inverted,
+    # the imaginary part dropped
+    h, w = img.shape[:2]
+    mask = gaussian_mask(h, w, sigma)
+    if mode == "high":
+        mask = 1.0 - mask
+    out = np.empty_like(img)
+    for c in range(img.shape[2]):
+        shifted = np.fft.fftshift(np.fft.fft2(img[..., c]))
+        out[..., c] = np.fft.ifft2(np.fft.ifftshift(shifted * mask)).real
+    return out
+
+
+@pytest.mark.parametrize("c", [1, 3])
+@pytest.mark.parametrize("kind", ["lowpass", "highpass"])
+@pytest.mark.parametrize("sigma", [2.5, 8.0])
+def test_real_input_ffts_stay_within_1e_15_of_the_complex_form(c, kind, sigma):
+    # the real-input transforms round differently from complex ones; on
+    # unit-range images the apply and the adjoint stay this close to them
+    rng = np.random.default_rng(c)
+    batch, gy = rng.uniform(size=(2,) + _ODD + (c,))
+    spec = filter_spec(kind, sigma=sigma)
+    want = np.stack([_complex_frequency_oracle(img, sigma, kind[:-4]) for img in batch])
+    assert np.max(np.abs(apply(spec, batch) - clamp01(want))) <= 1e-15
+    want = np.stack([_complex_frequency_oracle(g, sigma, kind[:-4]) for g in gy])
+    assert np.max(np.abs(bpda_backward(spec, gy, _ODD[1:] + (c,), mode="adjoint") - want)) <= 1e-15
 
 
 def _cell_colors(rng, cells, level):

@@ -74,3 +74,23 @@ def test_config_copies_are_hashed_and_a_reformatted_one_fails(golden, tmp_path, 
         "desk/certify_mincorr.config.json: config bytes differ",
         "3 output(s) identical",
     ]
+
+
+def test_loadable_models_with_one_moved_weight_report_the_parameter_diff(golden, tmp_path, capsys):
+    from fenet.model_io import save_network
+    from fenet.nn import Dense, Flatten, Network
+
+    a, b = tmp_path / "a", tmp_path / "b"
+    write(a, BASE)
+    write(b, BASE)
+    net = Network([Flatten(), Dense(2)], (2, 2, 1), 2, seed=0)
+    weight = net.layers[1].params[0]
+    weight[1, 0] = 0.5
+    save_network(net, a / "desk/models/lowpass.fenet")
+    weight[1, 0] += 2**-20
+    save_network(net, b / "desk/models/lowpass.fenet")
+    assert golden.diff_dirs(str(a), str(b)) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "desk/models/lowpass.fenet: max abs diff 9.54e-07, max rel diff 1.91e-06",
+        "3 output(s) identical",
+    ]
