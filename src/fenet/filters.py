@@ -402,13 +402,9 @@ def _check_sigma(sigma, name="sigma") -> None:
     """A ValueError naming `name` unless sigma > 0 and sigma**2 is a finite float > 0.
 
     The mask divides by 2 sigma**2: a square of 0 makes its center 0/0, a
-    NaN that clamping keeps; a Python float's square past the range raises.
+    NaN that clamping keeps.
     """
-    try:
-        ok = sigma > 0 and 0.0 < float(sigma) ** 2 < math.inf
-    except OverflowError:
-        ok = False
-    if not ok:
+    if not (sigma > 0 and 0.0 < float(sigma) * float(sigma) < math.inf):
         raise ValueError(f"{name} must be a number > 0 whose float64 square is finite and > 0, got {sigma!r}")
 
 
