@@ -93,7 +93,7 @@ def save_baselines(out_dir):
     for sm in ensemble.gaussian_noise_submodels(cli.DESK_ARCH, train_ds, sigma=0.02, count=3, seed=0,
                                                 train_cfg=tcfg):
         model_io.save_network(sm.net, os.path.join(out_dir, f"{sm.name}.fenet"))
-    hardened = ensemble.adversarial_train(cli.DESK_ARCH, train_ds, None, tcfg)
+    hardened = ensemble.adversarial_train(cli.DESK_ARCH, train_ds, tcfg)
     model_io.save_network(hardened, os.path.join(out_dir, "adversarial.fenet"))
 
 

@@ -10,8 +10,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from fenet import attacks, data, ensemble, nn, util
 from fenet.attacks import AttackConfig
 from fenet.cli import DESK_ARCH
@@ -32,16 +30,12 @@ def main() -> int:
         nn.build_network(DESK_ARCH, train_ds.image_shape, train_ds.num_classes, seed=tcfg.rng_seed),
         train_ds, tcfg,
     )
-    hardened = ensemble.adversarial_train(DESK_ARCH, train_ds, None, tcfg)
-    ids = np.arange(len(test_ds.images))
-    rows = []
-    for eps in EPSILONS:
-        cfg = AttackConfig(method="pgd", radius=eps / 255, steps=20, rng_seed=0)
-        for name, net in (("plain", plain), ("hardened", hardened)):
-            results = attacks.run_attack_batch(net, test_ds.images, test_ds.labels, cfg, image_ids=ids)
-            acc = float(np.mean([r.final_label == y for r, y in zip(results, test_ds.labels)]))
-            rows.append((eps / 255, name, acc))
-            print(f"eps {eps:2d}/255  {name:8s} {acc:.3f}")
+    hardened = ensemble.adversarial_train(DESK_ARCH, train_ds, tcfg)
+    plan = [(net, {name: net}) for name, net in (("plain", plain), ("hardened", hardened))]
+    cfg = AttackConfig(method="pgd", steps=20, rng_seed=0)  # transfer_eval sets each radius
+    rows = attacks.transfer_eval(plan, test_ds, [eps / 255 for eps in EPSILONS], cfg)
+    for eps, name, acc in rows:
+        print(f"eps {round(eps * 255):2d}/255  {name:8s} {acc:.3f}")
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "adversarial_training.csv")
     with open(path, "w") as fh:

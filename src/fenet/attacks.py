@@ -154,12 +154,14 @@ def run_attack_batch(model, xb, labels, cfg: AttackConfig, image_ids, trace=None
 
 # ------------------------------------------------------------- transfer study
 
-def transfer_eval(source_model, targets: dict, dataset, epsilons, cfg: AttackConfig):
-    """Craft adversarials on the source at each radius, score every target on them.
+def transfer_eval(plan, dataset, epsilons, cfg: AttackConfig):
+    """Craft adversarials on each source at each radius, score its targets on them.
 
-    Returns rows (epsilon, model_name, accuracy), targets in dict order.
-    At epsilon 0 the attack returns the clean images, so those rows report
-    clean accuracy.
+    `plan` is a list of (source, {name: target}) pairs. Returns rows
+    (epsilon, model_name, accuracy): radii outer, then pairs and targets
+    in order. A target that is its own source is scored from the attack's
+    final labels. At epsilon 0 the attack returns the clean images, so
+    those rows report clean accuracy.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
@@ -168,13 +170,13 @@ def transfer_eval(source_model, targets: dict, dataset, epsilons, cfg: AttackCon
     ids = np.arange(len(dataset))
     rows = []
     for eps in epsilons:
-        results = run_attack_batch(
-            source_model, xb, labels, replace(cfg, radius=float(eps)), image_ids=ids
-        )
-        adv = np.stack([res.adversarial for res in results])
-        for name, model in targets.items():
-            pred = model.classify_batch(adv)
-            rows.append((float(eps), name, float(np.mean(pred == labels))))
+        for source, targets in plan:
+            results = run_attack_batch(source, xb, labels, replace(cfg, radius=float(eps)), image_ids=ids)
+            adv = np.stack([res.adversarial for res in results])
+            final = np.array([res.final_label for res in results], dtype=int)
+            for name, model in targets.items():
+                pred = final if model is source else model.classify_batch(adv)
+                rows.append((float(eps), name, float(np.mean(pred == labels))))
     return rows
 
 

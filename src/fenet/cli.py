@@ -39,47 +39,6 @@ DESK_ARCH = [
     {"kind": "Dense", "out_features": None},
 ]
 
-DEFAULT_CONFIG = {
-    "seed": 0,
-    "out_dir": "runs",
-    "tag": "run",
-    "dataset": {
-        "kind": "synth",
-        "num_per_class": 150,
-        "test_per_class": 50,
-        "size": 16,
-        "train_seed": 101,
-        "test_seed": 202,
-        "dir": None,
-        "subset": None,
-        "subset_seed": 0,
-    },
-    "filters": ["discretize", "downsize", "grayscale", "highpass", "identity", "lowpass", "octree16"],
-    "filter_params": {},
-    "arch": DESK_ARCH,
-    "train": {"learning_rates": [0.1, 0.01, 0.001], "epochs_per_rate": 3, "batch_size": 32, "rng_seed": 7},
-    "attack": {
-        "method": "pgd",
-        "epsilons": [2, 5, 8, 10, 15, 20],
-        "norm": "inf",
-        "steps": 20,
-        "step_size": None,
-        "random_init": True,
-        "bpda": "identity",
-        "loss_sign": "ascend",
-        "rng_seed": 0,
-        "source": "identity",
-    },
-    "noise": {"epsilon_max": 20, "samples_per_image": 10, "num_images": 100, "rng_seed": 0, "select_k": 2},
-    "models_dir": None,
-    "ensemble": {"plan": "mincorr", "members": None},
-    "certify": {"num_inputs": 100, "power_seed": 0},
-}
-# Each command starts from a fresh copy of the defaults; json.loads of this
-# text is a deep copy at C speed.
-_DEFAULT_JSON = json.dumps(DEFAULT_CONFIG)
-
-
 class ConfigError(ValueError):
     """Invalid configuration; the message starts with the offending field path."""
 
@@ -148,51 +107,67 @@ def _member(path, value):
     _FILTER(f"{path}[1]", value[1])
 
 
-# One rule per leaf of DEFAULT_CONFIG, keyed by its dotted path. _validate
-# adds the checks that span fields and builds what the commands build.
-_RULES = {
-    "seed": _SEED,
-    "out_dir": _PATH,
-    "tag": _NAME,
-    "dataset.kind": _one_of(("synth", "cifar10")),
-    "dataset.num_per_class": _int(1),
-    "dataset.test_per_class": _int(1),
-    "dataset.size": _int(8),
-    "dataset.train_seed": _SEED,
-    "dataset.test_seed": _SEED,
-    "dataset.dir": _or_null(_PATH),
-    "dataset.subset": _or_null(_int(0)),
-    "dataset.subset_seed": _SEED,
-    "filters": _list_of(_FILTER, "must list at least one filter"),
-    "filter_params": _filter_params,
-    "arch": _list_of(_OBJECT),  # nn.build_network checks each layer
-    "train.learning_rates": _leaf(lambda v: isinstance(v, list) and all(map(is_number, v)),
-                                  "must be a list of finite numbers"),
-    "train.epochs_per_rate": _int(),
-    "train.batch_size": _int(),
-    "train.rng_seed": _SEED,
-    "attack.method": _one_of(attacks.METHODS),
-    "attack.epsilons": _list_of(_int(0, " (1/255 units)"), "must be non-empty"),
-    "attack.norm": _leaf(lambda v: v in ("inf", "Inf", "2", 2, math.inf), "must be inf or 2, got {!r}"),
-    "attack.steps": _int(),
-    "attack.step_size": _leaf(lambda v: v is None or is_number(v), "must be null or a finite number"),
-    "attack.random_init": _leaf(lambda v: isinstance(v, bool), "must be true or false"),
-    "attack.bpda": _one_of(flt.BPDA_MODES),
-    "attack.loss_sign": _one_of(("ascend", "paper_literal")),
-    "attack.rng_seed": _SEED,
-    "attack.source": _FILTER,
-    "noise.epsilon_max": _int(1, " (1/255 units)"),
-    "noise.samples_per_image": _int(),
-    "noise.num_images": _int(),
-    "noise.rng_seed": _SEED,
-    "noise.select_k": _int(1),
-    "models_dir": _or_null(_PATH),
-    "ensemble.plan": _or_null(_one_of(tuple(ensemble.DEFAULT_ENSEMBLES))),
-    "ensemble.members": _or_null(_list_of(_member, "must be non-empty")),
-    "certify.num_inputs": _int(1),
-    "certify.power_seed": _SEED,
+# Every field once, keyed by its dotted path, in the order of the config
+# and its provenance seeds: (default, rule). _validate adds the checks that
+# span fields and builds what the commands build.
+_FIELDS = {
+    "seed": (0, _SEED),
+    "out_dir": ("runs", _PATH),
+    "tag": ("run", _NAME),
+    "dataset.kind": ("synth", _one_of(("synth", "cifar10"))),
+    "dataset.num_per_class": (150, _int(1)),
+    "dataset.test_per_class": (50, _int(1)),
+    "dataset.size": (16, _int(8)),
+    "dataset.train_seed": (101, _SEED),
+    "dataset.test_seed": (202, _SEED),
+    "dataset.dir": (None, _or_null(_PATH)),
+    "dataset.subset": (None, _or_null(_int(0))),
+    "dataset.subset_seed": (0, _SEED),
+    "filters": (["discretize", "downsize", "grayscale", "highpass", "identity", "lowpass", "octree16"],
+                _list_of(_FILTER, "must list at least one filter")),
+    "filter_params": ({}, _filter_params),
+    "arch": (DESK_ARCH, _list_of(_OBJECT)),  # nn.build_network checks each layer
+    "train.learning_rates": ([0.1, 0.01, 0.001], _leaf(lambda v: isinstance(v, list) and all(map(is_number, v)),
+                                                       "must be a list of finite numbers")),
+    "train.epochs_per_rate": (3, _int()),
+    "train.batch_size": (32, _int()),
+    "train.rng_seed": (7, _SEED),
+    "attack.method": ("pgd", _one_of(attacks.METHODS)),
+    "attack.epsilons": ([2, 5, 8, 10, 15, 20], _list_of(_int(0, " (1/255 units)"), "must be non-empty")),
+    "attack.norm": ("inf", _leaf(lambda v: v in ("inf", "Inf", "2", 2, math.inf), "must be inf or 2, got {!r}")),
+    "attack.steps": (20, _int()),
+    "attack.step_size": (None, _leaf(lambda v: v is None or is_number(v), "must be null or a finite number")),
+    "attack.random_init": (True, _leaf(lambda v: isinstance(v, bool), "must be true or false")),
+    "attack.bpda": ("identity", _one_of(flt.BPDA_MODES)),
+    "attack.loss_sign": ("ascend", _one_of(("ascend", "paper_literal"))),
+    "attack.rng_seed": (0, _SEED),
+    "attack.source": ("identity", _FILTER),
+    "noise.epsilon_max": (20, _int(1, " (1/255 units)")),
+    "noise.samples_per_image": (10, _int()),
+    "noise.num_images": (100, _int()),
+    "noise.rng_seed": (0, _SEED),
+    "noise.select_k": (2, _int(1)),
+    "models_dir": (None, _or_null(_PATH)),
+    "ensemble.plan": ("mincorr", _or_null(_one_of(tuple(ensemble.DEFAULT_ENSEMBLES)))),
+    "ensemble.members": (None, _or_null(_list_of(_member, "must be non-empty"))),
+    "certify.num_inputs": (100, _int(1)),
+    "certify.power_seed": (0, _SEED),
 }
-_SEED_FIELDS = tuple(path for path, rule in _RULES.items() if rule is _SEED)
+_SEED_FIELDS = tuple(path for path, (_, rule) in _FIELDS.items() if rule is _SEED)
+
+
+def _nested_defaults() -> dict:
+    cfg = {}
+    for path, (default, _) in _FIELDS.items():
+        *blocks, key = path.split(".")
+        functools.reduce(lambda node, block: node.setdefault(block, {}), blocks, cfg)[key] = default
+    return cfg
+
+
+DEFAULT_CONFIG = _nested_defaults()
+# Each command starts from a fresh copy of the defaults; json.loads of this
+# text is a deep copy at C speed.
+_DEFAULT_JSON = json.dumps(DEFAULT_CONFIG)
 
 
 def _lookup(cfg, path: str):
@@ -201,11 +176,11 @@ def _lookup(cfg, path: str):
 
 def _merge(cfg: dict, override: dict, path: str = "") -> None:
     """Write `override` into `cfg`: a block key by key; a field, or any key inside an open map, whole."""
-    in_map = path.partition(".")[0] in _RULES
+    in_map = path.partition(".")[0] in _FIELDS
     for key, value in override.items():
         here = f"{path}.{key}" if path else key
         _expect(key in cfg or in_map, f"{here}: unknown field")
-        if here in _RULES or in_map:
+        if here in _FIELDS or in_map:
             cfg[key] = value
         else:
             _expect(isinstance(value, dict), f"{here}: must be an object")
@@ -224,7 +199,7 @@ def _apply_override(cfg: dict, expr: str) -> None:
     for k in filter(None, parent.split(".")):  # makes a missing open-map entry; _merge rejects any other
         node = node.setdefault(k, {}) if isinstance(node, dict) else None
     _expect(isinstance(node, dict), f"{path}: unknown field")
-    if path not in _RULES and isinstance(DEFAULT_CONFIG.get(path), dict):
+    if path not in _FIELDS and isinstance(DEFAULT_CONFIG.get(path), dict):
         node[key] = json.loads(_DEFAULT_JSON)[path]  # an object replaces a block; omitted keys keep defaults
     _merge(node, {key: value}, parent)
 
@@ -251,7 +226,7 @@ def load_config(args) -> dict:
 
 def _validate(cfg: dict) -> None:
     """Each field's rule, the checks that span fields, then all that the commands build from the config."""
-    for path, rule in _RULES.items():
+    for path, (_, rule) in _FIELDS.items():
         rule(path, _lookup(cfg, path))
     filters = cfg["filters"]
     _expect(len(set(filters)) == len(filters), "filters: duplicate names")
@@ -356,22 +331,24 @@ def _model_path(cfg, filter_name: str) -> str:
     return os.path.join(_models_dir(cfg), f"{filter_name}.fenet")
 
 
-def _load_submodel(cfg, bank, display_name, filter_name, in_shape) -> ensemble.SubModel:
-    """The saved model of filter_name, checked to take what the filter gives in_shape images."""
+def _load_submodel(cfg, bank, display_name, filter_name, test_ds) -> ensemble.SubModel:
+    """The saved model of filter_name, checked to take what the filter gives the test images, and their classes."""
     path = _model_path(cfg, filter_name)
     if not os.path.isfile(path):
         raise ConfigError(f"models_dir: {path}: missing model file; run the train command first")
     net = model_io.load_network(path)
-    shape = _output_shape(bank, filter_name, in_shape)
+    shape = _output_shape(bank, filter_name, test_ds.image_shape)
     _expect(net.input_shape == shape,
             f"models_dir: {path}: the model takes {net.input_shape} inputs, the filter gives {shape}")
+    _expect(net.num_classes == test_ds.num_classes,
+            f"models_dir: {path}: the model has {net.num_classes} classes, the dataset {test_ds.num_classes}")
     return ensemble.SubModel(display_name, bank[filter_name], net, bpda=cfg["attack"]["bpda"])
 
 
-def _ensemble_submodels(cfg, bank, in_shape) -> list:
+def _ensemble_submodels(cfg, bank, test_ds) -> list:
     """One sub-model per (display_name, filter_name) pair; explicit members win over the plan."""
     pairs = cfg["ensemble"]["members"] or ensemble.DEFAULT_ENSEMBLES[cfg["ensemble"]["plan"]]
-    return [_load_submodel(cfg, bank, name, filter_name, in_shape) for name, filter_name in pairs]
+    return [_load_submodel(cfg, bank, name, filter_name, test_ds) for name, filter_name in pairs]
 
 
 # ------------------------------------------------------------- CSV provenance
@@ -449,43 +426,29 @@ def cmd_correlate(cfg) -> list:
     return _write_outputs(cfg, "correlate", {"": sensitivity.correlation_csv(matrix)})
 
 
-def _attack_rows(cfg, targets: dict, test_ds) -> list:
-    """(epsilon, name, accuracy) rows, direct white-box per target."""
-    ids = np.arange(len(test_ds.images))
-    rows = []
-    for eps in cfg["attack"]["epsilons"]:
-        acfg = _attack_config(cfg, eps)
-        for name, target in targets.items():
-            results = attacks.run_attack_batch(target, test_ds.images, test_ds.labels, acfg, image_ids=ids)
-            acc = float(np.mean([r.final_label == y for r, y in zip(results, test_ds.labels)]))
-            rows.append((eps / 255, name, acc))
-    return rows
+def _accuracy_run(cfg, command: str, make_plan) -> list:
+    """One filter's sub-model per listed filter; make_plan(sub-models) is the transfer_eval plan to tabulate."""
+    test_ds = _dataset(cfg, "test")
+    bank = _bank(cfg)
+    subs = {name: _load_submodel(cfg, bank, name, name, test_ds) for name in cfg["filters"]}
+    epsilons = [eps / 255 for eps in cfg["attack"]["epsilons"]]
+    rows = attacks.transfer_eval(make_plan(subs), test_ds, epsilons, _attack_config(cfg, cfg["attack"]["epsilons"][0]))
+    return _write_outputs(cfg, command, {"": attacks.accuracy_table_csv(rows)})
 
 
 def cmd_attack(cfg) -> list:
-    test_ds = _dataset(cfg, "test")
-    bank = _bank(cfg)
-    targets = {name: _load_submodel(cfg, bank, name, name, test_ds.image_shape)
-               for name in cfg["filters"]}
-    rows = _attack_rows(cfg, targets, test_ds)
-    return _write_outputs(cfg, "attack", {"": attacks.accuracy_table_csv(rows)})
+    # each filter attacks itself: the diagonal of the transfer matrix
+    return _accuracy_run(cfg, "attack", lambda subs: [(sm, {name: sm}) for name, sm in subs.items()])
 
 
 def cmd_transfer(cfg) -> list:
-    test_ds = _dataset(cfg, "test")
-    bank = _bank(cfg)
-    load = functools.partial(_load_submodel, cfg, bank, in_shape=test_ds.image_shape)
-    source = load(cfg["attack"]["source"], cfg["attack"]["source"])
-    targets = {name: load(name, name) for name in cfg["filters"]}
-    epsilons = [eps / 255 for eps in cfg["attack"]["epsilons"]]
-    rows = attacks.transfer_eval(source, targets, test_ds, epsilons, _attack_config(cfg, cfg["attack"]["epsilons"][0]))
-    return _write_outputs(cfg, "transfer", {"": attacks.accuracy_table_csv(rows)})
+    return _accuracy_run(cfg, "transfer", lambda subs: [(subs[cfg["attack"]["source"]], subs)])
 
 
 def cmd_ensemble_eval(cfg) -> list:
     test_ds = _dataset(cfg, "test")
     bank = _bank(cfg)
-    subs = _ensemble_submodels(cfg, bank, test_ds.image_shape)
+    subs = _ensemble_submodels(cfg, bank, test_ds)
     vote_ens = ensemble.Ensemble(subs, mode="vote")
     score_ens = ensemble.Ensemble(subs, mode="score")
     ids = np.arange(len(test_ds.images))
@@ -507,7 +470,7 @@ def cmd_ensemble_eval(cfg) -> list:
 def cmd_certify(cfg) -> list:
     test_ds = _dataset(cfg, "test")
     bank = _bank(cfg)
-    subs = _ensemble_submodels(cfg, bank, test_ds.image_shape)
+    subs = _ensemble_submodels(cfg, bank, test_ds)
     n = cfg["certify"]["num_inputs"]
     if n > len(test_ds.images):
         raise ConfigError(f"certify.num_inputs: dataset has only {len(test_ds.images)} images")

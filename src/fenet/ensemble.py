@@ -217,11 +217,14 @@ def _noised(sigma, net, rng, xb, yb):
     return clamp01(xb + rng.normal(0.0, sigma, size=xb.shape))
 
 
-def _adversarial(attack_cfg, net, rng, xb, yb):
-    if attack_cfg.radius == 0:
-        return xb
+# adversarial_train's inner attack, 4-step PGD at 8/255; the step keeps the form min(2.5 r / steps, r),
+# whose bits the saved baselines were trained with
+_TRAIN_ATTACK = AttackConfig(method="pgd", radius=8 / 255, steps=4, step_size=min(2.5 * (8 / 255) / 4, 8 / 255))
+
+
+def _adversarial(net, rng, xb, yb):
     ids = rng.integers(2**31, size=len(xb))
-    results = run_attack_batch(net, xb, yb, attack_cfg, image_ids=ids)
+    results = run_attack_batch(net, xb, yb, _TRAIN_ATTACK, image_ids=ids)
     return np.stack([res.adversarial for res in results])
 
 
@@ -242,16 +245,10 @@ def gaussian_noise_submodels(base_net_spec, dataset, sigma: float = 0.02, count:
     return [SubModel(f"gauss{i}", identity, net) for i, (net, _) in enumerate(train_submodels(jobs, dataset))]
 
 
-def adversarial_train(net_spec, dataset, attack_cfg: "AttackConfig | None",
-                      train_cfg: "nn.TrainConfig") -> "nn.Network":
-    """SGD where every minibatch is replaced by its PGD adversarial examples (None: 4-step PGD at 8/255)."""
-    if attack_cfg is None:
-        attack_cfg = AttackConfig(method="pgd", radius=8 / 255, steps=4)
-    if attack_cfg.step_size is None and attack_cfg.radius > 0:
-        step = min(2.5 * attack_cfg.radius / attack_cfg.steps, attack_cfg.radius)
-        attack_cfg = replace(attack_cfg, step_size=step)
+def adversarial_train(net_spec, dataset, train_cfg: "nn.TrainConfig") -> "nn.Network":
+    """SGD where every minibatch is replaced by its adversarial examples under 4-step PGD at 8/255."""
     net = nn.build_network(net_spec, dataset.image_shape, dataset.num_classes, seed=train_cfg.rng_seed)
-    job = (flt.filter_spec("identity"), net, train_cfg, partial(_adversarial, attack_cfg))
+    job = (flt.filter_spec("identity"), net, train_cfg, _adversarial)
     [(trained, _)] = train_submodels([job], dataset)
     return trained
 

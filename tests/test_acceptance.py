@@ -271,7 +271,7 @@ def test_06_transfer_spares_low_correlation_filters(desk_submodels, desk_test):
     }
     for method, steps in (("fgsm", 1), ("pgd", 20)):
         cfg = AttackConfig(method=method, radius=20 / 255, steps=steps, rng_seed=0)
-        rows = attacks.transfer_eval(source, targets, desk_test, [20 / 255], cfg)
+        rows = attacks.transfer_eval([(source, targets)], desk_test, [20 / 255], cfg)
         accs = {name: acc for _, name, acc in rows}
         self_acc = accs["identity"]
         assert accs["lowpass"] > self_acc

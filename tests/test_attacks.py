@@ -1,5 +1,7 @@
 """Attack engine tests against closed-form linear oracles and step-math identities."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -445,7 +447,7 @@ def test_transfer_eval_zero_epsilon_rows_are_clean_accuracy():
     net = conv_net(seed=10, shape=(8, 8, 3), classes=4)
     targets = {"plain": net, "filtered": SubModel("filtered", flt.filter_spec("identity"), net)}
     cfg = AttackConfig(method="fgsm", radius=0.01)
-    rows = transfer_eval(net, targets, ds, [0.0, 4 / 255], cfg)
+    rows = transfer_eval([(net, targets)], ds, [0.0, 4 / 255], cfg)
     assert [(r[0], r[1]) for r in rows] == [
         (0.0, "plain"),
         (0.0, "filtered"),
@@ -456,8 +458,29 @@ def test_transfer_eval_zero_epsilon_rows_are_clean_accuracy():
     assert rows[0][2] == pytest.approx(clean)
     assert rows[1][2] == pytest.approx(clean)
     assert all(0.0 <= r[2] <= 1.0 for r in rows)
-    again = transfer_eval(net, targets, ds, [0.0, 4 / 255], cfg)
+    again = transfer_eval([(net, targets)], ds, [0.0, 4 / 255], cfg)
     assert rows == again
+
+
+def test_transfer_eval_plan_rows_run_radii_then_pairs_then_targets():
+    ds = data.synth_shapes(3, size=8, seed=1)
+    a = conv_net(seed=10, shape=(8, 8, 3), classes=4)
+    b = conv_net(seed=11, shape=(8, 8, 3), classes=4)
+    plan = [(a, {"a": a, "b": b}), (b, {"b": b, "a": a})]
+    cfg = AttackConfig(method="pgd", radius=0.01, steps=3, rng_seed=2)
+    epsilons = [0.0, 4 / 255]
+    rows = transfer_eval(plan, ds, epsilons, cfg)
+    assert [(eps, name) for eps, name, _ in rows] == [(eps, name) for eps in epsilons for name in "abba"]
+    # each cell scores its target on its source's adversarials; a source scored on
+    # itself, from the attack's own final labels, reads the same
+    want = []
+    for eps in epsilons:
+        for source, targets in plan:
+            results = run_attack_batch(source, ds.images, ds.labels, replace(cfg, radius=eps),
+                                       image_ids=np.arange(len(ds)))
+            adv = np.stack([r.adversarial for r in results])
+            want += [float(np.mean(t.classify_batch(adv) == ds.labels)) for t in targets.values()]
+    assert [acc for _, _, acc in rows] == want
 
 
 def test_transfer_eval_rejects_empty_dataset():
@@ -470,7 +493,7 @@ def test_transfer_eval_rejects_empty_dataset():
 
     net = linear_net()
     with pytest.raises(ValueError, match="empty"):
-        transfer_eval(net, {"m": net}, Empty(), [0.0], AttackConfig())
+        transfer_eval([(net, {"m": net})], Empty(), [0.0], AttackConfig())
 
 
 def test_accuracy_csv_format():

@@ -284,6 +284,22 @@ def test_transfer_table_covers_every_target(run_dir):
     assert [r[1] for r in rows] == ["identity", "grayscale", "downsize"]
 
 
+def test_attack_rows_are_the_diagonal_of_the_transfer_matrix(run_dir):
+    # each filter's attack row is the row of the transfer run whose source is that filter
+    attack = 'attack={"epsilons":[0,4],"steps":2}'
+    filters = ("identity", "grayscale", "downsize")
+    assert run_cli("attack", run_dir, "--tag", "diag", "--set", attack) == 0
+    _, _, rows = read_rows(run_dir / "attack_diag.csv")
+    diagonal = {}
+    for source in filters:
+        rc = run_cli("transfer", run_dir, "--tag", f"from_{source}", "--set", attack, "--set", f"attack.source={source}")
+        assert rc == 0
+        _, _, transfer_rows = read_rows(run_dir / f"transfer_from_{source}.csv")
+        diagonal.update({(eps, name): acc for eps, name, acc in transfer_rows if name == source})
+    assert [(eps, name) for eps, name, _ in rows] == [(eps, name) for eps in "04" for name in filters]
+    assert rows == [[eps, name, diagonal[eps, name]] for eps, name, _ in rows]
+
+
 def test_ensemble_eval_emits_vote_and_score_columns(run_dir):
     rc = run_cli(
         "ensemble-eval", run_dir,
@@ -577,7 +593,9 @@ LEAVES = sorted(path for path, value in config_paths() if not (isinstance(value,
 
 
 def test_rule_table_has_one_rule_per_leaf_and_the_seeds_in_provenance_order():
-    assert sorted(cli._RULES) == LEAVES
+    assert sorted(cli._FIELDS) == LEAVES
+    for path, (default, rule) in cli._FIELDS.items():
+        rule(path, default)
     # the provenance line names the seeds in this order
     assert cli._SEED_FIELDS == ("seed", "dataset.train_seed", "dataset.test_seed", "dataset.subset_seed",
                                 "train.rng_seed", "attack.rng_seed", "noise.rng_seed", "certify.power_seed")
@@ -716,6 +734,23 @@ def test_model_that_does_not_take_the_filter_output_is_a_config_error(run_dir, c
     assert capsys.readouterr().err == (
         f"config error: models_dir: {path}: the model takes (8, 8, 3) inputs, the filter gives (12, 12, 3)\n"
     )
+
+
+@pytest.mark.parametrize("classes", [2, 5])
+def test_model_whose_class_count_is_not_the_datasets_is_a_config_error(tmp_path, capsys, classes):
+    # the synthetic data has 4 classes; a model with fewer or more fails before any attack or CSV
+    path = tmp_path / "models" / "identity.fenet"
+    path.parent.mkdir()
+    model_io.save_network(nn.build_network(TINY_ARCH, (8, 8, 3), classes, seed=0), str(path))
+    for command in ("attack", "transfer", "ensemble-eval", "certify"):
+        rc = run_cli(command, tmp_path, "--set", 'filters=["identity"]', "--set", "noise.select_k=1",
+                     "--set", 'attack={"epsilons":[4],"steps":1}',
+                     "--set", 'ensemble={"plan":null,"members":[["a","identity"]]}', "--set", "certify.num_inputs=2")
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"config error: models_dir: {path}: the model has {classes} classes, the dataset 4\n"
+        )
+    assert os.listdir(tmp_path) == ["models"]
 
 
 # Arbitrary JSON, kept small: the fuzz is of the config boundary, not of sizes.

@@ -61,7 +61,7 @@ def test_white_box_attack_collapses_the_plain_model(identity_attack_accs):
 def test_transfer_rows_match_direct_attacks(desk_submodels, desk_test):
     src = desk_submodels["identity"]
     cfg = AttackConfig(method="fgsm", radius=EPS8, rng_seed=0)
-    table = attacks.transfer_eval(src, {"identity": src}, desk_test, [0.0, EPS8], cfg)
+    table = attacks.transfer_eval([(src, {"identity": src})], desk_test, [0.0, EPS8], cfg)
     accs = {round(eps * 255): acc for eps, _, acc in table}
     clean = float(np.mean(src.net.classify_batch(desk_test.images) == desk_test.labels))
     assert accs[0] == clean
@@ -126,7 +126,7 @@ def test_adversarial_training_buys_robustness_beyond_its_radius(desk_train, desk
                          seed=DESK_TRAIN_CFG.rng_seed),
         desk_train, DESK_TRAIN_CFG,
     )
-    hardened = ensemble.adversarial_train(DESK_ARCH, desk_train, None, DESK_TRAIN_CFG)
+    hardened = ensemble.adversarial_train(DESK_ARCH, desk_train, DESK_TRAIN_CFG)
     cfg = AttackConfig(method="pgd", radius=EPS20, steps=20, rng_seed=0)
     plain_acc = _acc(_run(plain, desk_test, cfg), desk_test.labels)
     hardened_acc = _acc(_run(hardened, desk_test, cfg), desk_test.labels)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fenet import data, ensemble, filters as flt, nn
-from fenet.attacks import AttackConfig
+from fenet.attacks import AttackConfig, run_attack_batch
 from fenet.ensemble import (
     Ensemble,
     SubModel,
@@ -428,23 +428,26 @@ def test_gaussian_submodels_validation():
         gaussian_noise_submodels(TINY_ARCH, ds, count=0, train_cfg=TINY_CFG)
 
 
-def test_adversarial_training_radius_zero_is_plain_training():
+def test_adversarial_training_trains_on_4_step_pgd_at_8_255():
+    # the attack spelled out as callers once passed it, step size min(2.5 r / steps, r)
     ds = tiny_dataset()
-    at = adversarial_train(TINY_ARCH, ds, AttackConfig(radius=0.0, steps=4), TINY_CFG)
-    plain, _ = nn.train(
-        nn.build_network(TINY_ARCH, ds.image_shape, ds.num_classes, seed=TINY_CFG.rng_seed),
-        ds,
-        TINY_CFG,
-    )
-    for a, b in zip(params_of(at), params_of(plain)):
+    radius = 8 / 255
+    pgd = AttackConfig(method="pgd", radius=radius, steps=4, step_size=min(2.5 * radius / 4, radius))
+
+    def augment(net, rng, xb, yb):
+        results = run_attack_batch(net, xb, yb, pgd, image_ids=rng.integers(2**31, size=len(xb)))
+        return np.stack([r.adversarial for r in results])
+
+    net = nn.build_network(TINY_ARCH, ds.image_shape, ds.num_classes, seed=TINY_CFG.rng_seed)
+    want, _ = nn.train(net, ds, TINY_CFG, augment)
+    for a, b in zip(params_of(adversarial_train(TINY_ARCH, ds, TINY_CFG)), params_of(want)):
         assert np.array_equal(a, b)
 
 
 def test_adversarial_training_deterministic():
     ds = tiny_dataset()
-    cfg = AttackConfig(radius=4 / 255, steps=2)
-    one = adversarial_train(TINY_ARCH, ds, cfg, TINY_CFG)
-    two = adversarial_train(TINY_ARCH, ds, cfg, TINY_CFG)
+    one = adversarial_train(TINY_ARCH, ds, TINY_CFG)
+    two = adversarial_train(TINY_ARCH, ds, TINY_CFG)
     for a, b in zip(params_of(one), params_of(two)):
         assert np.array_equal(a, b)
 
